@@ -1,7 +1,5 @@
 #include "base/stats.h"
 
-#include <cmath>
-
 namespace tlsim {
 namespace stats {
 
@@ -16,36 +14,6 @@ void
 Scalar::dump(std::ostream &os, const std::string &prefix) const
 {
     os << prefix << name() << " " << value_ << " # " << desc() << "\n";
-}
-
-double
-Distribution::stdev() const
-{
-    if (n_ < 2)
-        return 0;
-    const double m = mean();
-    const double var = (sumSq_ - n_ * m * m) / (n_ - 1);
-    return var > 0 ? std::sqrt(var) : 0;
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << ".count " << n_ << " # " << desc() << "\n";
-    os << prefix << name() << ".mean " << mean() << "\n";
-    os << prefix << name() << ".min " << min() << "\n";
-    os << prefix << name() << ".max " << max() << "\n";
-    os << prefix << name() << ".stdev " << stdev() << "\n";
-}
-
-void
-Distribution::reset()
-{
-    sum_ = 0;
-    sumSq_ = 0;
-    n_ = 0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
 }
 
 Vector::Vector(StatGroup *group, std::string name, std::string desc,

@@ -1,15 +1,14 @@
 /**
  * @file
  * A small statistics package in the spirit of gem5's Stats:
- * named scalar counters, distributions and vectors that register with a
- * StatGroup and can be dumped in one pass at the end of simulation.
+ * named scalar counters and vectors that register with a StatGroup and
+ * can be dumped in one pass at the end of simulation.
  */
 
 #ifndef BASE_STATS_H
 #define BASE_STATS_H
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -65,40 +64,6 @@ class Scalar : public Stat
 
   private:
     double value_ = 0;
-};
-
-/** Min/max/mean/stdev summary of a sampled quantity. */
-class Distribution : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v, std::uint64_t count = 1)
-    {
-        sum_ += v * count;
-        sumSq_ += v * v * count;
-        n_ += count;
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / n_ : 0; }
-    double min() const { return n_ ? min_ : 0; }
-    double max() const { return n_ ? max_ : 0; }
-    double stdev() const;
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override;
-
-  private:
-    double sum_ = 0;
-    double sumSq_ = 0;
-    std::uint64_t n_ = 0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /** A fixed-size vector of named scalar buckets. */

@@ -30,37 +30,6 @@ TEST(Scalar, AssignmentOverwrites)
     EXPECT_DOUBLE_EQ(s.value(), 2);
 }
 
-TEST(Distribution, SummaryStatistics)
-{
-    Distribution d(nullptr, "lat", "latency");
-    d.sample(10);
-    d.sample(20);
-    d.sample(30);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 20);
-    EXPECT_DOUBLE_EQ(d.min(), 10);
-    EXPECT_DOUBLE_EQ(d.max(), 30);
-    EXPECT_NEAR(d.stdev(), 10.0, 1e-9);
-}
-
-TEST(Distribution, WeightedSamples)
-{
-    Distribution d(nullptr, "w", "");
-    d.sample(5, 10);
-    EXPECT_EQ(d.count(), 10u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5);
-    EXPECT_DOUBLE_EQ(d.stdev(), 0);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d(nullptr, "e", "");
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0);
-    EXPECT_DOUBLE_EQ(d.min(), 0);
-    EXPECT_DOUBLE_EQ(d.max(), 0);
-}
-
 TEST(Vector, BucketsAndTotal)
 {
     Vector v(nullptr, "cat", "categories", {"a", "b", "c"});

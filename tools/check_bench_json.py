@@ -35,29 +35,20 @@ Every bench binary writes this schema when invoked with --json=FILE:
           "<stage>": "<16 hex>", ...  # capture/replay/aggregate/serialize
         }
       },
-      "staticanalysis": {             # optional; tlslint/tlsa/tlsdet --json
+      "staticanalysis": {             # optional; tools/tlslint.py --json
         "engine": "libclang"|"lex",
-        "checks_run": <int >= 4>,     # the tool's full check set ran
-        "files_scanned": <int > 0>,
-        "violations": 0,              # the tree must be clean
-        "suppressions": <int >= 0>,   # reasoned allows, informational
-        "suppressions_by_check": {    # census; must sum to the count
-          "<check>": <int >= 0>, ...
-        }
-      },                              # per-pass results[] entries must
-                                      # each report violations == 0
-      "lifetime": {                   # optional; tlslife --json
-        "engine": "libclang"|"lex",
-        "checks_run": <int >= 4>,     # P1..P4 all ran
+        "checks_run": 16,             # every pass, T1..P4, ran
         "files_scanned": <int > 0>,
         "pooled_types": <int >= 0>,   # poolreset.txt census
         "persistent_fields": <int >= 0>,
         "views": <int >= 0>,
         "violations": 0,              # the tree must be clean
-        "suppressions": <int >= 0>,
-        "suppressions_by_check": { "<check>": <int >= 0>, ... }
-      },                              # per-pass results[] entries must
-                                      # each report violations == 0
+        "suppressions": <int >= 0>,   # reasoned allows, informational
+        "suppressions_by_check": {    # census; must sum to the count
+          "<check>": <int >= 0>, ...
+        }
+      },                              # results[] must name every pass
+                                      # T1..P4, each with violations 0
       "replay": {                     # optional; absent only in
         "simd": "avx2"|"scalar",      # pre-replay-block reports
         "<counter>": <number >= 0>,   # the replay.* counter group
@@ -205,6 +196,15 @@ def check_determinism(path, det):
     return ok
 
 
+#: Every static-analysis pass tools/tlslint.py runs.
+STATIC_CHECKS = tuple(f"{family}{i}" for family in "TADP"
+                      for i in range(1, 5))
+
+
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def check_staticanalysis(path, sa):
     if not isinstance(sa, dict):
         return fail(path, "'staticanalysis' is not an object")
@@ -214,23 +214,25 @@ def check_staticanalysis(path, sa):
         ok = fail(path, "staticanalysis 'engine' must be 'libclang' "
                         f"or 'lex', got {engine!r}")
     checks = sa.get("checks_run")
-    if not isinstance(checks, int) or isinstance(checks, bool) \
-            or checks < 4:
-        # All four repo-invariant checks (T1..T4) must have run; a
-        # report from a --check subset does not count as a clean tree.
-        ok = fail(path, "staticanalysis 'checks_run' must be an "
-                        f"integer >= 4, got {checks!r}")
+    if checks != len(STATIC_CHECKS) or isinstance(checks, bool):
+        # A report from a --check subset does not count as a clean
+        # tree: every pass of every family must have run.
+        ok = fail(path, "staticanalysis 'checks_run' must be "
+                        f"{len(STATIC_CHECKS)}, got {checks!r}")
     scanned = sa.get("files_scanned")
-    if not isinstance(scanned, int) or isinstance(scanned, bool) \
-            or scanned <= 0:
+    if not is_count(scanned) or scanned == 0:
         ok = fail(path, "staticanalysis 'files_scanned' must be an "
                         f"integer > 0, got {scanned!r}")
+    for key in ("pooled_types", "persistent_fields", "views"):
+        if not is_count(sa.get(key)):
+            ok = fail(path, f"staticanalysis {key!r} must be an "
+                            f"integer >= 0, got {sa.get(key)!r}")
     violations = sa.get("violations")
     if violations != 0 or isinstance(violations, bool):
         ok = fail(path, "staticanalysis 'violations' must be 0, "
                         f"got {violations!r}")
     supp = sa.get("suppressions")
-    if not isinstance(supp, int) or isinstance(supp, bool) or supp < 0:
+    if not is_count(supp):
         ok = fail(path, "staticanalysis 'suppressions' must be an "
                         f"integer >= 0, got {supp!r}")
     census = sa.get("suppressions_by_check")
@@ -240,89 +242,36 @@ def check_staticanalysis(path, sa):
     else:
         good = True
         for k, v in census.items():
-            if not isinstance(k, str) or not k or \
-                    not isinstance(v, int) or isinstance(v, bool) or \
-                    v < 0:
+            if not isinstance(k, str) or not k or not is_count(v):
                 good = ok = fail(
                     path, "staticanalysis suppression census entry "
                           f"{k!r}: {v!r} must map a check id to an "
                           "integer >= 0")
-        if good and isinstance(supp, int) and \
-                sum(census.values()) != supp:
+        if good and is_count(supp) and sum(census.values()) != supp:
             ok = fail(path, "staticanalysis suppression census sums "
                             f"to {sum(census.values())}, but "
                             f"'suppressions' says {supp!r}")
     return ok
 
 
-def check_lifetime(path, lt):
-    if not isinstance(lt, dict):
-        return fail(path, "'lifetime' is not an object")
-    ok = True
-    engine = lt.get("engine")
-    if engine not in ("libclang", "lex"):
-        ok = fail(path, "lifetime 'engine' must be 'libclang' or "
-                        f"'lex', got {engine!r}")
-    checks = lt.get("checks_run")
-    if not isinstance(checks, int) or isinstance(checks, bool) \
-            or checks < 4:
-        # All four lifetime passes (P1..P4) must have run; a report
-        # from a --check subset does not count as a clean tree.
-        ok = fail(path, "lifetime 'checks_run' must be an integer "
-                        f">= 4, got {checks!r}")
-    scanned = lt.get("files_scanned")
-    if not isinstance(scanned, int) or isinstance(scanned, bool) \
-            or scanned <= 0:
-        ok = fail(path, "lifetime 'files_scanned' must be an "
-                        f"integer > 0, got {scanned!r}")
-    for key in ("pooled_types", "persistent_fields", "views"):
-        v = lt.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            ok = fail(path, f"lifetime {key!r} must be an integer "
-                            f">= 0, got {v!r}")
-    violations = lt.get("violations")
-    if violations != 0 or isinstance(violations, bool):
-        ok = fail(path, "lifetime 'violations' must be 0, "
-                        f"got {violations!r}")
-    supp = lt.get("suppressions")
-    if not isinstance(supp, int) or isinstance(supp, bool) or supp < 0:
-        ok = fail(path, "lifetime 'suppressions' must be an "
-                        f"integer >= 0, got {supp!r}")
-    census = lt.get("suppressions_by_check")
-    if not isinstance(census, dict):
-        ok = fail(path, "lifetime 'suppressions_by_check' must be "
-                        f"an object, got {census!r}")
-    else:
-        good = True
-        for k, v in census.items():
-            if not isinstance(k, str) or not k or \
-                    not isinstance(v, int) or isinstance(v, bool) or \
-                    v < 0:
-                good = ok = fail(
-                    path, "lifetime suppression census entry "
-                          f"{k!r}: {v!r} must map a check id to an "
-                          "integer >= 0")
-        if good and isinstance(supp, int) and \
-                sum(census.values()) != supp:
-            ok = fail(path, "lifetime suppression census sums to "
-                            f"{sum(census.values())}, but "
-                            f"'suppressions' says {supp!r}")
-    return ok
-
-
 def check_staticanalysis_results(path, results):
-    # With a staticanalysis block present, results[] carries one
-    # entry per pass; a clean report means every pass is clean, not
-    # just the total.
+    # results[] carries one entry per pass; a clean report means every
+    # pass ran and is clean, not just the total.
     ok = True
+    named = set()
     for i, entry in enumerate(results):
         if not isinstance(entry, dict):
             continue  # shape errors reported by check_result
+        named.add(entry.get("name"))
         v = entry.get("violations")
         if v != 0 or isinstance(v, bool):
             ok = fail(path, f"results[{i}] "
                             f"({entry.get('name')!r}): per-pass "
                             f"'violations' must be 0, got {v!r}")
+    missing = [c for c in STATIC_CHECKS if c not in named]
+    if missing:
+        ok = fail(path, "staticanalysis results[] does not name "
+                        f"pass(es) {', '.join(missing)}")
     return ok
 
 
@@ -378,8 +327,6 @@ def check_file(path):
         ok = check_determinism(path, doc["determinism"]) and ok
     if "staticanalysis" in doc:
         ok = check_staticanalysis(path, doc["staticanalysis"]) and ok
-    if "lifetime" in doc:
-        ok = check_lifetime(path, doc["lifetime"]) and ok
     if "replay" in doc:
         ok = check_replay(path, doc["replay"]) and ok
     results = doc.get("results")
@@ -388,7 +335,7 @@ def check_file(path):
     else:
         for i, entry in enumerate(results):
             ok = check_result(path, i, entry) and ok
-        if "staticanalysis" in doc or "lifetime" in doc:
+        if "staticanalysis" in doc:
             ok = check_staticanalysis_results(path, results) and ok
     return ok
 

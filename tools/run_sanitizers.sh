@@ -29,8 +29,9 @@
 #               errors via -DTLSIM_THREAD_SAFETY=ON) - compile-time
 #               proof of the lock discipline TSan can only spot-check
 #               dynamically. Skipped with a notice when clang++ is not
-#               installed; tlslint (pure python) runs either way, with
-#               its --json report validated by check_bench_json.py.
+#               installed; tlslint (pure python: all 16 T/A/D/P
+#               passes over one parse) runs either way, with its one
+#               --json report validated by check_bench_json.py.
 #
 # Usage: tools/run_sanitizers.sh [asan|tsan|static|simd-off|poison|all]
 # (default: all; --static is accepted as a synonym for static.)
@@ -103,26 +104,11 @@ run_static() {
         echo "=== static: clang++ not installed; skipping" \
              "thread-safety analysis build ==="
     fi
-    echo "=== static: tlslint ==="
-    python3 "$root/tools/tlslint.py" --root "$root" \
-        --json "$root/build-tlslint-report.json"
+    echo "=== static: tlslint (T/A/D/P passes) ==="
+    python3 "$root/tools/tlslint.py" --root "$root" --require-manifests \
+        --json "$root/build-lint-static-report.json"
     python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlslint-report.json"
-    echo "=== static: tlsa ==="
-    python3 "$root/tools/tlsa.py" --root "$root" --require-manifests \
-        --json "$root/build-tlsa-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlsa-report.json"
-    echo "=== static: tlsdet ==="
-    python3 "$root/tools/tlsdet.py" --root "$root" --require-manifests \
-        --json "$root/build-tlsdet-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlsdet-report.json"
-    echo "=== static: tlslife ==="
-    python3 "$root/tools/tlslife.py" --root "$root" --require-manifests \
-        --json "$root/build-tlslife-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlslife-report.json"
+        "$root/build-lint-static-report.json"
 }
 
 run_poison() {

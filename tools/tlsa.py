@@ -1,11 +1,8 @@
-#!/usr/bin/env python3
-"""tlsa: whole-program semantic static analysis for the simulator.
+"""tlsa: the whole-program model and the A-family semantic passes.
 
-Usage: tlsa.py [--root DIR] [--engine auto|libclang|lex]
-               [--check A1,A2,...] [--json FILE] [--require-manifests]
-               [--list-checks] [-q]
+Run through the one driver: `tools/tlslint.py [--check A1,A2,...]`.
 
-tlslint (tools/tlslint.py, PR 5) matches token patterns file by file;
+The T family (tools/tlslint.py) matches token patterns file by file;
 tlsa builds a *program model* — function definitions with qualified
 names, a resolved call graph, lock-acquisition scopes, and per-function
 data flow — and checks properties no single file can show:
@@ -58,62 +55,42 @@ data flow — and checks properties no single file can show:
       bounds comparison. This is tlslint's T3 generalized from cast
       spelling to actual data flow.
 
-Engines: identical to tlslint — libclang tokenization when the python
-bindings are importable, the built-in lexer otherwise; both feed the
-same model builder, so results match token-for-token. The semantic
-model itself is token-derived in both engines (see DESIGN.md §4.8 for
-the capability matrix and the known approximations: unresolved calls
-— virtual/function-pointer/ambiguous overloads — contribute no edges).
+The semantic model is token-derived under both tokenizer engines (see
+DESIGN.md §4.8 for the capability matrix and the known
+approximations: unresolved calls — virtual/function-pointer/ambiguous
+overloads — contribute no edges). The tlsdet (D) and tlslife (P)
+families reuse the same model.
 
-Suppression: `// tlsa:allow(An): reason` (shared grammar with
-tlslint via tools/lintsupp.py; a bare allow from either tool's grammar
-is a hard error here too).
+Suppression: `// tlsa:allow(An): reason` (the shared grammar in
+tools/lintsupp.py).
 
 Manifests: tools/lockorder.txt (A1) and tools/auditseam.txt (A2),
 resolved relative to --root so fixture mini-repos carry their own.
 Without --require-manifests a missing file skips the corresponding
-declaration checks (cycle detection always runs); the CI run on the
-real tree passes --require-manifests.
-
-Exit status: 0 clean, 1 violations, 2 usage error.
---json writes a tlsim-bench-v1 report whose `staticanalysis` block
-(per-pass violation counts, combined suppression census) is validated
-by tools/check_bench_json.py.
+declaration checks (cycle detection always runs).
 """
 
-import argparse
-import json
 import os
 import re
-import sys
-import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lintsupp  # noqa: E402
-import tlslint  # noqa: E402  (shared tokenizers: lex + libclang)
-from lintsupp import Diagnostic  # noqa: E402
+import lintsupp
+from lintsupp import Diagnostic
 
 CHECK_IDS = ("A1", "A2", "A3", "A4")
-
-SCAN_DIRS = ("src", "bench", "tools")
-SOURCE_EXTS = (".h", ".cc", ".cpp")
 
 # --- shared vocabularies -------------------------------------------------
 
 LOCK_TYPES = {"MutexLock", "UniqueLock"}
 
-# A2: the audited modules (tlslint's T1 set, plus core/machine.h —
+# A2: the audited modules (T1's set, plus core/machine.h —
 # EpochRun and the start-table bookkeeping live in the header, owned
 # by the same TlsMachine whose hooks observe them) and the
 # mutator-primitive vocabulary. src/verify/ is exempt from primitive
 # *detection*: the auditor/model-checker deliberately implement their
 # own independent models of the protocol state (cross-validated by
 # bisimulation, PR 4); their writes are not the simulator's state.
-AUDITED_FILES = set(tlslint.T1_ALLOWED_FILES) | {"src/core/machine.h"}
+AUDITED_FILES = lintsupp.AUDITED_MUTATOR_FILES | {"src/core/machine.h"}
 A2_EXEMPT_DIRS = ("src/verify/",)
-DISTINCT_MUTATORS = set(tlslint.T1_DISTINCT_MUTATORS)
-GENERIC_MUTATORS = set(tlslint.T1_GENERIC_MUTATORS)
-RECEIVER_HINTS = tuple(tlslint.T1_RECEIVER_HINTS)
 AUDIT_HOOKS = {"onRunStart", "onEpochStart", "onSpawn", "onAccess",
                "onCommit", "onSquash", "refreshAuditView"}
 
@@ -943,10 +920,10 @@ def _primitive_calls(fn, code):
     for cs in fn.calls:
         if not cs.recv:
             continue
-        if cs.name in DISTINCT_MUTATORS:
+        if cs.name in lintsupp.DISTINCT_MUTATORS:
             hits.append(cs)
-        elif cs.name in GENERIC_MUTATORS and any(
-                h in cs.recv.lower() for h in RECEIVER_HINTS):
+        elif cs.name in lintsupp.GENERIC_MUTATORS and any(
+                h in cs.recv.lower() for h in lintsupp.RECEIVER_HINTS):
             hits.append(cs)
     if fn.body and fn.body[1]:
         for k in range(*fn.body):
@@ -1070,7 +1047,7 @@ def check_a3(prog, supp_of, report):
             if callee is None or callee.qual in closure:
                 continue
             # A reasoned allow on the call line prunes a cold edge.
-            if supp and supp.suppresses(fn.calls[ci].line, "A3"):
+            if supp and supp.suppresses(fn.calls[ci].line, "tlsa", "A3"):
                 continue
             closure[callee.qual] = closure[fn.qual]
             queue.append(callee)
@@ -1296,163 +1273,21 @@ def _inside_subscript(code, start, k, max_back=24):
     return False
 
 
-# --- driver --------------------------------------------------------------
+# --- family entry point --------------------------------------------------
 
-def find_sources(root):
-    out = []
-    for d in SCAN_DIRS:
-        for dirpath, _, files in os.walk(os.path.join(root, d)):
-            for f in sorted(files):
-                if f.endswith(SOURCE_EXTS):
-                    full = os.path.join(dirpath, f)
-                    out.append((full,
-                                os.path.relpath(full, root)
-                                .replace(os.sep, "/")))
-    return out
-
-
-def write_json(path, engine, enabled, files_scanned, per_check,
-               census, wall):
-    doc = {
-        "schema": "tlsim-bench-v1",
-        "bench": "tlsa",
-        "quick": False,
-        "jobs": 1,
-        "wall_seconds": wall,
-        "simulated_cycles": 0,
-        "staticanalysis": {
-            "engine": engine,
-            "checks_run": len(enabled),
-            "files_scanned": files_scanned,
-            "violations": sum(per_check.values()),
-            "suppressions": sum(census.values()),
-            "suppressions_by_check": dict(sorted(census.items())),
-        },
-        "results": [
-            {"name": c, "violations": per_check.get(c, 0)}
-            for c in sorted(set(enabled) | set(per_check))
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
-def main():
-    ap = argparse.ArgumentParser(
-        description="whole-program semantic static analysis")
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of tools/)")
-    ap.add_argument("--engine", default="auto",
-                    choices=("auto", "libclang", "lex"))
-    ap.add_argument("--check", default=None,
-                    help="comma-separated subset of passes "
-                         "(default: all)")
-    ap.add_argument("--json", default=None, metavar="FILE")
-    ap.add_argument("--require-manifests", action="store_true",
-                    help="missing lockorder.txt/auditseam.txt is an "
-                         "error (the real-tree CI configuration)")
-    ap.add_argument("--list-checks", action="store_true")
-    ap.add_argument("-q", "--quiet", action="store_true")
-    args = ap.parse_args()
-
-    if args.list_checks:
-        for c in CHECK_IDS:
-            print(c)
-        return 0
-
-    if args.check:
-        enabled = [c.strip() for c in args.check.split(",")
-                   if c.strip()]
-        bad = [c for c in enabled if c not in CHECK_IDS]
-        if bad:
-            print(f"tlsa: unknown check(s): {', '.join(bad)}",
-                  file=sys.stderr)
-            return 2
-    else:
-        enabled = list(CHECK_IDS)
-
-    root = args.root or os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
-    root = os.path.abspath(root)
-
-    sources = find_sources(root)
-    if not sources:
-        print("tlsa: no sources found", file=sys.stderr)
-        return 2
-
-    start = time.monotonic()
-    tokenizer, engine = tlslint.make_tokenizer(args.engine)
-
-    files = {}
-    supp_of = {}
-    diags = []
-    census = {}
-    for full, rel in sources:
-        try:
-            with open(full, encoding="utf-8", errors="replace") as f:
-                text = f.read()
-        except OSError as e:
-            diags.append(Diagnostic(rel, 0, "io", str(e)))
-            continue
-        tokens = tokenizer(full, text)
-        lines = text.splitlines()
-        files[rel] = build_file_model(rel, tokens, lines)
-        supp = lintsupp.Suppressions(rel, tokens, lines, "tlsa")
-        supp_of[rel] = supp
-        diags.extend(supp.diags)
-        lintsupp.merge_census(census, supp.by_check)
-
-    prog = Program(files)
-
-    def report(d):
-        supp = supp_of.get(d.path)
-        if supp is None or not supp.suppresses(d.line, d.check):
-            diags.append(d)
-
+def run(an, enabled, report):
+    prog, root = an.prog, an.root
     if "A1" in enabled:
         check_a1(prog,
                  load_lockorder(os.path.join(root, "tools",
                                              "lockorder.txt")),
-                 args.require_manifests, report)
+                 an.require_manifests, report)
     if "A2" in enabled:
         check_a2(prog,
                  load_auditseam(os.path.join(root, "tools",
                                              "auditseam.txt")),
-                 args.require_manifests, report)
+                 an.require_manifests, report)
     if "A3" in enabled:
-        check_a3(prog, supp_of, report)
+        check_a3(prog, an.supp_of, report)
     if "A4" in enabled:
         check_a4(prog, report)
-
-    diags.sort(key=lambda d: (d.path, d.line, d.check, d.message))
-    seen = set()
-    uniq = []
-    for d in diags:
-        key = (d.path, d.line, d.check, d.message)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(d)
-    diags = uniq
-    per_check = {}
-    for d in diags:
-        per_check[d.check] = per_check.get(d.check, 0) + 1
-        if not args.quiet:
-            print(d)
-
-    if args.json:
-        write_json(args.json, engine, enabled, len(sources),
-                   per_check, census, time.monotonic() - start)
-
-    if not args.quiet:
-        n_funcs = len(prog.funcs)
-        verdict = (f"{len(diags)} violation(s)" if diags else "clean")
-        print(f"tlsa[{engine}]: {len(sources)} files, {n_funcs} "
-              f"functions, {len(enabled)} passes, "
-              f"{sum(census.values())} reasoned suppression(s): "
-              f"{verdict}")
-    return 1 if diags else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,11 +22,13 @@
  * additionally attaches the runtime invariant auditor to the
  * simulation.
  *
- * Exit status: 0 all checks passed, 1 any mismatch.
+ * A flag the mode does not read, or a non-numeric value for a numeric
+ * flag, is a fatal error.
+ *
+ * Exit status: 0 all checks passed, 1 any mismatch or bad flag.
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -40,29 +42,11 @@
 #include "verify/auditor.h"
 #include "verify/checker.h"
 
+#include "cliargs.h"
+
 using namespace tlsim;
 
 namespace {
-
-struct Args
-{
-    std::map<std::string, std::string> kv;
-    bool has(const std::string &k) const { return kv.count(k) > 0; }
-
-    std::string
-    str(const std::string &k, const std::string &dflt = "") const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    num(const std::string &k, std::uint64_t dflt) const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stoull(it->second);
-    }
-};
 
 int
 usage()
@@ -106,7 +90,7 @@ printSummary(const char *name, const verify::CheckResult &chk)
 }
 
 int
-checkTraceFile(const Args &a)
+checkTraceFile(const CliArgs &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace"), &w))
@@ -144,7 +128,7 @@ benchmarkByName(const std::string &name)
 }
 
 int
-checkBenchmark(const Args &a)
+checkBenchmark(const CliArgs &a)
 {
     tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
 
@@ -209,21 +193,17 @@ int
 main(int argc, char **argv)
 {
     setInformEnabled(false);
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) != 0)
-            return usage();
-        s = s.substr(2);
-        auto eq = s.find('=');
-        if (eq == std::string::npos)
-            a.kv[s] = "1";
-        else
-            a.kv[s.substr(0, eq)] = s.substr(eq + 1);
-    }
-    if (a.has("trace"))
+    CliArgs a;
+    a.parse(argc, argv, 1);
+    if (a.has("trace")) {
+        a.allowOnly("tlscheck --trace", {"trace", "idx", "line-bytes"});
         return checkTraceFile(a);
-    if (a.has("benchmark"))
+    }
+    if (a.has("benchmark")) {
+        a.allowOnly("tlscheck --benchmark",
+                    {"benchmark", "quick", "txns", "warmup",
+                     "trace-cache", "audit"});
         return checkBenchmark(a);
+    }
     return usage();
 }

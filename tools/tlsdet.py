@@ -1,15 +1,12 @@
-#!/usr/bin/env python3
-"""tlsdet: whole-program determinism analysis for the simulator.
+"""tlsdet: the D-family whole-program determinism passes.
 
-Usage: tlsdet.py [--root DIR] [--engine auto|libclang|lex]
-                 [--check D1,D2,...] [--json FILE]
-                 [--require-manifests] [--list-checks] [-q]
+Run through the one driver: `tools/tlslint.py [--check D1,D2,...]`.
 
 The repo's load-bearing guarantee is that every result stream — the
 figure/table rows, the golden stdout, the bench JSON — is identical
 under --jobs=N, pipelining and SIMD dispatch. The golden ctest label
 *observes* that on a few configurations; tlsdet is the fourth
-static-analysis layer (tslint -> tlsa -> this) and *proves the
+static-analysis layer (tlslint -> tlsa -> this) and *proves the
 discipline* that makes it hold: it reuses tlsa's program model
 (function definitions, member-typed call resolution, call closure) and
 walks the closure reachable from the declared result sinks in
@@ -61,31 +58,20 @@ those reach through resolved calls. base/detorder.h and base/dethash.h
 implement the allowlisted spellings and are exempt from D1/D2 on their
 own bodies.
 
-Suppression: `// tlsdet:allow(Dn): reason` (shared grammar with
-tlslint/tlsa via tools/lintsupp.py; a bare allow is a hard error).
+Suppression: `// tlsdet:allow(Dn): reason` (the shared grammar in
+tools/lintsupp.py; a bare allow is a hard error).
 
 Manifests: tools/detsinks.txt (D1-D3 roots) and tools/detmergers.txt
 (D4 subjects), resolved relative to --root so fixture mini-repos carry
 their own. Without --require-manifests a missing file skips the
 passes that need it; the CI run on the real tree requires both.
-
-Exit status: 0 clean, 1 violations, 2 usage error.
---json writes a tlsim-bench-v1 report whose `staticanalysis` block is
-validated by tools/check_bench_json.py.
 """
 
-import argparse
-import json
 import os
 import re
-import sys
-import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lintsupp  # noqa: E402
-import tlslint  # noqa: E402  (shared tokenizers: lex + libclang)
-import tlsa  # noqa: E402  (shared program model + call resolution)
-from lintsupp import Diagnostic  # noqa: E402
+import tlsa  # the shared program model and call resolution
+from lintsupp import Diagnostic
 
 CHECK_IDS = ("D1", "D2", "D3", "D4")
 
@@ -515,119 +501,20 @@ def check_d4(prog, facts_of, mergers, root, report):
                 "tests/det/merge_perm_test.cc (d4-untested)"))
 
 
-# --- driver --------------------------------------------------------------
+# --- family entry point --------------------------------------------------
 
-def write_json(path, engine, enabled, files_scanned, per_check,
-               census, wall):
-    doc = {
-        "schema": "tlsim-bench-v1",
-        "bench": "tlsdet",
-        "quick": False,
-        "jobs": 1,
-        "wall_seconds": wall,
-        "simulated_cycles": 0,
-        "staticanalysis": {
-            "engine": engine,
-            "checks_run": len(enabled),
-            "files_scanned": files_scanned,
-            "violations": sum(per_check.values()),
-            "suppressions": sum(census.values()),
-            "suppressions_by_check": dict(sorted(census.items())),
-        },
-        "results": [
-            {"name": c, "violations": per_check.get(c, 0)}
-            for c in sorted(set(enabled) | set(per_check))
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
-def main():
-    ap = argparse.ArgumentParser(
-        description="whole-program determinism analysis")
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of tools/)")
-    ap.add_argument("--engine", default="auto",
-                    choices=("auto", "libclang", "lex"))
-    ap.add_argument("--check", default=None,
-                    help="comma-separated subset of passes "
-                         "(default: all)")
-    ap.add_argument("--json", default=None, metavar="FILE")
-    ap.add_argument("--require-manifests", action="store_true",
-                    help="missing detsinks.txt/detmergers.txt is an "
-                         "error (the real-tree CI configuration)")
-    ap.add_argument("--list-checks", action="store_true")
-    ap.add_argument("-q", "--quiet", action="store_true")
-    args = ap.parse_args()
-
-    if args.list_checks:
-        for c in CHECK_IDS:
-            print(c)
-        return 0
-
-    if args.check:
-        enabled = [c.strip() for c in args.check.split(",")
-                   if c.strip()]
-        bad = [c for c in enabled if c not in CHECK_IDS]
-        if bad:
-            print(f"tlsdet: unknown check(s): {', '.join(bad)}",
-                  file=sys.stderr)
-            return 2
-    else:
-        enabled = list(CHECK_IDS)
-
-    root = args.root or os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
-    root = os.path.abspath(root)
-
-    sources = tlsa.find_sources(root)
-    if not sources:
-        print("tlsdet: no sources found", file=sys.stderr)
-        return 2
-
-    start = time.monotonic()
-    tokenizer, engine = tlslint.make_tokenizer(args.engine)
-
-    files = {}
-    supp_of = {}
-    diags = []
-    census = {}
-    facts_of = {}
-    for full, rel in sources:
-        try:
-            with open(full, encoding="utf-8", errors="replace") as f:
-                text = f.read()
-        except OSError as e:
-            diags.append(Diagnostic(rel, 0, "io", str(e)))
-            continue
-        tokens = tokenizer(full, text)
-        lines = text.splitlines()
-        files[rel] = tlsa.build_file_model(rel, tokens, lines)
-        facts_of[rel] = scan_file_facts(files[rel])
-        supp = lintsupp.Suppressions(rel, tokens, lines, "tlsdet")
-        supp_of[rel] = supp
-        diags.extend(supp.diags)
-        lintsupp.merge_census(census, supp.by_check)
-
-    prog = tlsa.Program(files)
-
-    def report(d):
-        supp = supp_of.get(d.path)
-        if supp is None or not supp.suppresses(d.line, d.check):
-            diags.append(d)
-
-    sinks = load_manifest(os.path.join(root, "tools",
-                                       "detsinks.txt"))
+def run(an, enabled, report):
+    prog, root = an.prog, an.root
+    facts_of = {rel: scan_file_facts(fm) for rel, fm in prog.files.items()}
+    sinks = load_manifest(os.path.join(root, "tools", "detsinks.txt"))
     mergers = load_manifest(os.path.join(root, "tools",
                                          "detmergers.txt"))
-    if sinks is None and args.require_manifests:
+    if sinks is None and an.require_manifests:
         report(Diagnostic(
             "tools/detsinks.txt", 0, "D1",
             "missing manifest: declare the result sinks D1-D3 "
             "analyze from (--require-manifests)"))
-    if mergers is None and args.require_manifests:
+    if mergers is None and an.require_manifests:
         report(Diagnostic(
             "tools/detmergers.txt", 0, "D4",
             "missing manifest: declare the shard-merge functions "
@@ -643,34 +530,3 @@ def main():
             check_d3(prog, facts_of, closure, report)
     if mergers is not None and "D4" in enabled:
         check_d4(prog, facts_of, mergers, root, report)
-
-    diags.sort(key=lambda d: (d.path, d.line, d.check, d.message))
-    seen = set()
-    uniq = []
-    for d in diags:
-        key = (d.path, d.line, d.check, d.message)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(d)
-    diags = uniq
-    per_check = {}
-    for d in diags:
-        per_check[d.check] = per_check.get(d.check, 0) + 1
-        if not args.quiet:
-            print(d)
-
-    if args.json:
-        write_json(args.json, engine, enabled, len(sources),
-                   per_check, census, time.monotonic() - start)
-
-    if not args.quiet:
-        verdict = (f"{len(diags)} violation(s)" if diags else "clean")
-        print(f"tlsdet[{engine}]: {len(sources)} files, "
-              f"{len(prog.funcs)} functions, {len(enabled)} passes, "
-              f"{sum(census.values())} reasoned suppression(s): "
-              f"{verdict}")
-    return 1 if diags else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

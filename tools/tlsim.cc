@@ -23,7 +23,11 @@
  *   --audit=off|commit|full    protocol invariant auditor level
  *   --warmup=N         transactions excluded from statistics
  *   --profile          print the dependence profiler afterwards
+ *   --stats            dump the machine's statistics afterwards
  *   --det-probe        print canonical capture/replay result digests
+ *
+ * A flag the subcommand does not read, or a non-numeric value for a
+ * numeric flag, is a fatal error.
  */
 
 #include <cstdio>
@@ -44,50 +48,11 @@
 #include "tpcc/tpcc.h"
 #include "verify/auditor.h"
 
+#include "cliargs.h"
+
 using namespace tlsim;
 
 namespace {
-
-struct Args
-{
-    std::string command;
-    std::map<std::string, std::string> kv;
-    bool has(const std::string &k) const { return kv.count(k) > 0; }
-
-    std::string
-    str(const std::string &k, const std::string &dflt = "") const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    num(const std::string &k, std::uint64_t dflt) const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stoull(it->second);
-    }
-};
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    if (argc >= 2)
-        a.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) != 0)
-            fatal("unexpected argument '%s'", s.c_str());
-        s = s.substr(2);
-        auto eq = s.find('=');
-        if (eq == std::string::npos)
-            a.kv[s] = "1";
-        else
-            a.kv[s.substr(0, eq)] = s.substr(eq + 1);
-    }
-    return a;
-}
 
 tpcc::TxnType
 benchmarkByName(const std::string &name)
@@ -113,7 +78,7 @@ benchmarkByName(const std::string &name)
 }
 
 sim::ExperimentConfig
-experimentConfig(const Args &a)
+experimentConfig(const CliArgs &a)
 {
     sim::ExperimentConfig cfg;
     if (a.has("quick")) {
@@ -131,7 +96,7 @@ experimentConfig(const Args &a)
 }
 
 MachineConfig
-machineConfig(const Args &a)
+machineConfig(const CliArgs &a)
 {
     MachineConfig mc;
     mc.tls.subthreadsPerThread = static_cast<unsigned>(
@@ -216,7 +181,7 @@ printRun(const RunResult &r)
 }
 
 int
-cmdCapture(const Args &a)
+cmdCapture(const CliArgs &a)
 {
     tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
     sim::ExperimentConfig cfg = experimentConfig(a);
@@ -238,7 +203,7 @@ cmdCapture(const Args &a)
 }
 
 int
-cmdInfo(const Args &a)
+cmdInfo(const CliArgs &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
@@ -258,7 +223,7 @@ cmdInfo(const Args &a)
 }
 
 int
-cmdReplay(const Args &a)
+cmdReplay(const CliArgs &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
@@ -294,13 +259,13 @@ cmdReplay(const Args &a)
 
 /** Executor sized from --jobs (default 1; 0 = one per core). */
 sim::SimExecutor
-executorOf(const Args &a)
+executorOf(const CliArgs &a)
 {
     return sim::SimExecutor(static_cast<unsigned>(a.num("jobs", 1)));
 }
 
 int
-cmdFigure5(const Args &a)
+cmdFigure5(const CliArgs &a)
 {
     tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
     sim::ExperimentConfig cfg = experimentConfig(a);
@@ -314,7 +279,7 @@ cmdFigure5(const Args &a)
 }
 
 int
-cmdFigure6(const Args &a)
+cmdFigure6(const CliArgs &a)
 {
     tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
     sim::ExperimentConfig cfg = experimentConfig(a);
@@ -336,7 +301,7 @@ cmdFigure6(const Args &a)
 }
 
 int
-cmdTable2(const Args &a)
+cmdTable2(const CliArgs &a)
 {
     const auto &benches = tpcc::allBenchmarks();
     std::vector<sim::ExperimentConfig> cfgs;
@@ -364,7 +329,7 @@ cmdTable2(const Args &a)
  * run to one benchmark.
  */
 int
-cmdBench(const Args &a)
+cmdBench(const CliArgs &a)
 {
     std::string artifact = a.str("artifact", "figure5");
     if (artifact == "table2")
@@ -426,28 +391,53 @@ cmdBench(const Args &a)
 
 } // namespace
 
+// The flags each subcommand reads: experimentConfig() and
+// machineConfig() options, then the subcommand's own.
+#define TLSIM_EXPERIMENT_FLAGS "quick", "txns", "warmup"
+#define TLSIM_MACHINE_FLAGS                                              \
+    "subthreads", "spacing", "cpus", "adaptive", "no-start-table",       \
+        "no-victim", "lazy-updates", "audit"
+
 int
 main(int argc, char **argv)
 {
     setInformEnabled(false);
-    Args a = parse(argc, argv);
-    if (a.command == "capture")
+    CliArgs a;
+    a.parse(argc, argv, 2);
+    const std::string cmd = argc >= 2 ? argv[1] : "";
+    const char *name = cmd.c_str();
+    if (cmd == "capture") {
+        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, "benchmark", "out",
+                           "original"});
         return cmdCapture(a);
-    if (a.command == "info")
+    }
+    if (cmd == "info") {
+        a.allowOnly(name, {"trace"});
         return cmdInfo(a);
-    if (a.command == "replay")
+    }
+    if (cmd == "replay") {
+        a.allowOnly(name, {TLSIM_MACHINE_FLAGS, "trace", "mode",
+                           "warmup", "det-probe", "profile", "stats"});
         return cmdReplay(a);
-    if (a.command == "figure5")
-        return cmdFigure5(a);
-    if (a.command == "figure6")
-        return cmdFigure6(a);
-    if (a.command == "table2")
+    }
+    if (cmd == "figure5" || cmd == "figure6") {
+        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, TLSIM_MACHINE_FLAGS,
+                           "benchmark", "trace-cache", "jobs"});
+        return cmd == "figure5" ? cmdFigure5(a) : cmdFigure6(a);
+    }
+    if (cmd == "table2") {
+        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, "trace-cache", "jobs"});
         return cmdTable2(a);
-    if (a.command == "bench")
+    }
+    if (cmd == "bench") {
+        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, TLSIM_MACHINE_FLAGS,
+                           "artifact", "benchmark", "trace-cache",
+                           "jobs"});
         return cmdBench(a);
+    }
     std::fprintf(stderr,
                  "usage: tlsim "
                  "<capture|info|replay|figure5|figure6|table2|bench> "
                  "[--key=value ...]\n");
-    return a.command.empty() ? 1 : (a.command == "help" ? 0 : 1);
+    return cmd == "help" ? 0 : 1;
 }

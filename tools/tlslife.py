@@ -1,9 +1,6 @@
-#!/usr/bin/env python3
-"""tlslife: whole-program object-lifetime & recycle analysis.
+"""tlslife: the P-family object-lifetime & recycle passes.
 
-Usage: tlslife.py [--root DIR] [--engine auto|libclang|lex]
-                  [--check P1,P2,...] [--json FILE]
-                  [--require-manifests] [--list-checks] [-q]
+Run through the one driver: `tools/tlslint.py [--check P1,P2,...]`.
 
 The replay hot path never frees anything: it *recycles*. LineSet and
 L2Cache invalidate en masse by bumping a generation stamp, EpochRun
@@ -64,8 +61,8 @@ paths scribble canaries into recycled storage and assert on stale
 access, so whatever slips past the static rules aborts the first
 time it is exercised. DESIGN.md §4.10 has the catch-bound table.
 
-Suppression: `// tlslife:allow(Pn): reason` (shared grammar with the
-other tools via tools/lintsupp.py; a bare allow is a hard error).
+Suppression: `// tlslife:allow(Pn): reason` (the shared grammar in
+tools/lintsupp.py; a bare allow is a hard error).
 
 Manifest: tools/poolreset.txt, resolved relative to --root so the
 fixture mini-repos carry their own. Grammar (reasons mandatory where
@@ -78,24 +75,14 @@ shown):
 
 Without --require-manifests a missing manifest skips P2/P3 (P1/P4
 need no declarations and always run); the CI run on the real tree
-requires it.
-
-Exit status: 0 clean, 1 violations, 2 usage error.
---json writes a tlsim-bench-v1 report whose `lifetime` block is
-validated by tools/check_bench_json.py.
+requires it. The manifest census (pooled types, persistent fields,
+views) rides in the driver's `--json` staticanalysis block.
 """
 
-import argparse
-import json
 import os
-import sys
-import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lintsupp  # noqa: E402
-import tlslint  # noqa: E402  (shared tokenizers: lex + libclang)
-import tlsa  # noqa: E402  (shared program model + call resolution)
-from lintsupp import Diagnostic  # noqa: E402
+import tlsa  # the shared program model and call resolution
+from lintsupp import Diagnostic
 
 CHECK_IDS = ("P1", "P2", "P3", "P4")
 
@@ -945,114 +932,14 @@ def check_p4(prog, report):
                         "recordLoad idiom) or hold an index"))
 
 
-# --- driver --------------------------------------------------------------
+# --- family entry point --------------------------------------------------
 
-def write_json(path, engine, enabled, files_scanned, per_check,
-               census, man, wall):
-    doc = {
-        "schema": "tlsim-bench-v1",
-        "bench": "tlslife",
-        "quick": False,
-        "jobs": 1,
-        "wall_seconds": wall,
-        "simulated_cycles": 0,
-        "lifetime": {
-            "engine": engine,
-            "checks_run": len(enabled),
-            "files_scanned": files_scanned,
-            "pooled_types": len(man.pooled) if man else 0,
-            "persistent_fields": len(man.persist) if man else 0,
-            "views": len(man.views) if man else 0,
-            "violations": sum(per_check.values()),
-            "suppressions": sum(census.values()),
-            "suppressions_by_check": dict(sorted(census.items())),
-        },
-        "results": [
-            {"name": c, "violations": per_check.get(c, 0)}
-            for c in sorted(set(enabled) | set(per_check))
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
-def main():
-    ap = argparse.ArgumentParser(
-        description="whole-program object-lifetime analysis")
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of "
-                         "tools/)")
-    ap.add_argument("--engine", default="auto",
-                    choices=("auto", "libclang", "lex"))
-    ap.add_argument("--check", default=None,
-                    help="comma-separated subset of passes "
-                         "(default: all)")
-    ap.add_argument("--json", default=None, metavar="FILE")
-    ap.add_argument("--require-manifests", action="store_true",
-                    help="missing poolreset.txt is an error (the "
-                         "real-tree CI configuration)")
-    ap.add_argument("--list-checks", action="store_true")
-    ap.add_argument("-q", "--quiet", action="store_true")
-    args = ap.parse_args()
-
-    if args.list_checks:
-        for c in CHECK_IDS:
-            print(c)
-        return 0
-
-    if args.check:
-        enabled = [c.strip() for c in args.check.split(",")
-                   if c.strip()]
-        bad = [c for c in enabled if c not in CHECK_IDS]
-        if bad:
-            print(f"tlslife: unknown check(s): {', '.join(bad)}",
-                  file=sys.stderr)
-            return 2
-    else:
-        enabled = list(CHECK_IDS)
-
-    root = args.root or os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
-    root = os.path.abspath(root)
-
-    sources = tlsa.find_sources(root)
-    if not sources:
-        print("tlslife: no sources found", file=sys.stderr)
-        return 2
-
-    start = time.monotonic()
-    tokenizer, engine = tlslint.make_tokenizer(args.engine)
-
-    files = {}
-    supp_of = {}
-    diags = []
-    census = {}
-    for full, rel in sources:
-        try:
-            with open(full, encoding="utf-8",
-                      errors="replace") as f:
-                text = f.read()
-        except OSError as e:
-            diags.append(Diagnostic(rel, 0, "io", str(e)))
-            continue
-        tokens = tokenizer(full, text)
-        lines = text.splitlines()
-        files[rel] = tlsa.build_file_model(rel, tokens, lines)
-        supp = lintsupp.Suppressions(rel, tokens, lines, "tlslife")
-        supp_of[rel] = supp
-        diags.extend(supp.diags)
-        lintsupp.merge_census(census, supp.by_check)
-
-    prog = tlsa.Program(files)
-
-    def report(d):
-        supp = supp_of.get(d.path)
-        if supp is None or not supp.suppresses(d.line, d.check):
-            diags.append(d)
-
-    man = load_poolreset(os.path.join(root, MANIFEST_REL))
-    if man is None and args.require_manifests:
+def run(an, enabled, report):
+    """Runs the enabled P passes; returns the manifest census for the
+    staticanalysis block."""
+    prog = an.prog
+    man = load_poolreset(os.path.join(an.root, MANIFEST_REL))
+    if man is None and an.require_manifests:
         report(Diagnostic(
             MANIFEST_REL, 0, "P2",
             "missing manifest: declare the pooled/recycled types "
@@ -1067,36 +954,8 @@ def main():
             check_p3(prog, man, report)
     if "P4" in enabled:
         check_p4(prog, report)
-
-    diags.sort(key=lambda d: (d.path, d.line, d.check, d.message))
-    seen = set()
-    uniq = []
-    for d in diags:
-        key = (d.path, d.line, d.check, d.message)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(d)
-    diags = uniq
-    per_check = {}
-    for d in diags:
-        per_check[d.check] = per_check.get(d.check, 0) + 1
-        if not args.quiet:
-            print(d)
-
-    if args.json:
-        write_json(args.json, engine, enabled, len(sources),
-                   per_check, census, man,
-                   time.monotonic() - start)
-
-    if not args.quiet:
-        verdict = (f"{len(diags)} violation(s)" if diags
-                   else "clean")
-        print(f"tlslife[{engine}]: {len(sources)} files, "
-              f"{len(prog.funcs)} functions, {len(enabled)} "
-              f"passes, {sum(census.values())} reasoned "
-              f"suppression(s): {verdict}")
-    return 1 if diags else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return {
+        "pooled_types": len(man.pooled) if man else 0,
+        "persistent_fields": len(man.persist) if man else 0,
+        "views": len(man.views) if man else 0,
+    }

@@ -1,12 +1,28 @@
 #!/usr/bin/env python3
-"""tlslint: project-specific static-analysis checks for the simulator.
+"""tlslint: the repo's static-analysis driver.
 
 Usage: tlslint.py [--root DIR] [--engine auto|libclang|lex]
-                  [--check T1,T2,...] [--treat-as RELPATH]
-                  [--json FILE] [--list-checks] [-q] [PATH...]
+                  [--check T1,A2,...] [--require-manifests]
+                  [--json FILE] [-q]
+
+Every C++ source under src/, bench/ and tools/ is tokenized once and
+one whole-program model (tlsa.Program: function definitions, resolved
+call graph, lock scopes, member types) is built once. Four pass
+families then run over that one model:
+
+  T1..T4  token-level repo invariants (this file; below)
+  A1..A4  whole-program semantic passes: static deadlock, audit-seam
+          reachability, hot-path allocation, input-taint narrowing
+          (tools/tlsa.py)
+  D1..D4  determinism discipline: ordered output, environment taint,
+          parallel-reduction order, shard-merge commutativity
+          (tools/tlsdet.py)
+  P1..P4  object lifetime and recycle discipline: generation guards,
+          reset completeness, pooled-storage escape, reference
+          invalidation (tools/tlslife.py)
 
 Clang's thread-safety analysis (the TLSIM_THREAD_SAFETY build) proves
-lock discipline; these checks enforce the *repo invariants* that no
+lock discipline; the T checks enforce the *repo invariants* that no
 generic tool knows about:
 
   T1  spec-metadata mutations stay behind the audited mutators.
@@ -35,64 +51,55 @@ generic tool knows about:
       A main() under bench/ without BenchSession regresses to the
       hand-rolled argument parsing PR 4 deduplicated.
 
-Suppression: append `// tlslint:allow(Tn): reason` to the flagged
-line (or put it alone on the line above). The reason is mandatory; a
-bare allow is itself a diagnostic, so the tree never accumulates
-unexplained exemptions.
+Suppression: `// <tool>:allow(<check>): reason` on the flagged line
+(or alone on the line above), where <tool> is the family's prefix:
+tlslint (T), tlsa (A), tlsdet (D), tlslife (P). Each family honours
+only its own prefix. The reason is mandatory; a bare allow is itself
+a diagnostic (tools/lintsupp.py has the grammar).
+
+Manifests (tools/lockorder.txt, auditseam.txt, detsinks.txt,
+detmergers.txt, poolreset.txt) are resolved relative to --root, so
+the fixture mini-repos under tests/lint/ carry their own. Without
+--require-manifests a missing manifest skips the declaration checks
+that need it; the real-tree run (ctest lint_static) requires them.
 
 Engines: with the libclang python bindings installed, files are
 tokenized by libclang (`--engine=libclang`); otherwise a built-in
 C++ lexer produces the same token stream (`--engine=lex`). Both feed
-the identical rule matcher; `auto` (default) picks libclang when it
-is importable and loadable.
+the same passes; `auto` (default) picks libclang when it is
+importable and loadable.
+
+--check runs a subset of passes (e.g. one family's ids). Diagnostics
+are sorted and deduplicated on (path, line, check, message).
 
 Exit status: 0 clean, 1 violations, 2 usage error.
 
---json writes a tlsim-bench-v1 report whose "staticanalysis" block
-(checks run, files scanned, violations) is validated by
-tools/check_bench_json.py, so CI can assert the lint actually ran.
+--json writes a tlsim-bench-v1 report with one "staticanalysis" block
+(engine, checks run, files scanned, violations, the suppression
+census, and the poolreset.txt census) plus one results[] entry per
+pass; tools/check_bench_json.py requires all 16 passes and a clean
+tree.
 """
 
 import argparse
-import fnmatch
 import json
 import os
-import re
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lintsupp  # noqa: E402  (same-directory shared module)
-from lintsupp import Diagnostic, Token  # noqa: E402
+import lintsupp  # noqa: E402  (same-directory pass modules)
+import tlsa  # noqa: E402
+import tlsdet  # noqa: E402
+import tlslife  # noqa: E402
+from lintsupp import Diagnostic  # noqa: E402
 
 # ---------------------------------------------------------------------
-# Check definitions
+# T family: per-file token rules
 # ---------------------------------------------------------------------
 
 CHECK_IDS = ("T1", "T2", "T3", "T4")
 
-# T1: the audited-mutator allowlist (repo-relative, forward slashes).
-T1_ALLOWED_FILES = {
-    "src/core/machine.cc",
-    "src/core/specstate.h",
-    "src/core/specstate.cc",
-    "src/mem/victim.h",
-    "src/mem/victim.cc",
-    "src/mem/memsys.h",
-    "src/mem/memsys.cc",
-    "src/mem/l2cache.h",
-    "src/mem/l2cache.cc",
-}
-# Mutator names distinctive enough to flag on any receiver.
-T1_DISTINCT_MUTATORS = {
-    "recordLoad", "recordLoadExposed", "recordStore", "clearContext",
-    "clearThread", "reserveLines", "renameToCommitted",
-    "dropOneCommitted",
-}
-# Generic names: flagged only when the receiver looks like the
-# speculative state or the victim cache.
-T1_GENERIC_MUTATORS = {"insert", "remove", "reset", "accessLine"}
-T1_RECEIVER_HINTS = ("spec", "victim")
 T1_SCOPE_DIRS = ("src/",)
 
 T2_ALLOWED_FILES = {"src/sim/executor.h", "src/sim/executor.cc"}
@@ -120,105 +127,6 @@ T3_NARROW_TYPES = {
 
 T4_SCOPE_DIRS = ("bench/",)
 
-DEFAULT_SCAN_DIRS = ("src", "bench", "tools")
-SOURCE_EXTS = (".h", ".cc", ".cpp")
-
-# ---------------------------------------------------------------------
-# Tokenizers
-# ---------------------------------------------------------------------
-
-# Raw strings and ordinary string/char literals accept the standard
-# encoding prefixes (u8, u, U, L): `LR"(...)"` is one literal, not an
-# identifier `LR` followed by garbage — mis-lexing it would feed the
-# literal's *contents* to the rule matchers as if it were code.
-# Digit separators (`1'000'000`) are consumed only when the apostrophe
-# is followed by another digit/hex-digit, so a separator can never
-# swallow an adjacent char literal and an unmatched quote can never
-# swallow the code after it.
-_LEX_RE = re.compile(
-    r"""
-      (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<rawstr>(?:u8|u|U|L)?R"
-        (?P<delim>[^\s()\\]{0,16})\(.*?\)(?P=delim)")
-    | (?P<str>(?:u8|u|U|L)?"(?:\\.|[^"\\\n])*")
-    | (?P<char>(?:u8|u|U|L)?'(?:\\.|[^'\\\n])*')
-    | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<num>\.?\d(?:[\w.]|'[0-9a-fA-F]|[eEpP][+-])*)
-    | (?P<punct>::|->|\+\+|--|<<|>>|[{}()\[\];,<>=!&|^~?:.*/%+-]|\#)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-
-def lex_tokens(text):
-    """Tokenize C++ with a small lexer: identifiers, punctuation,
-    literals and comments, each tagged with its starting line."""
-    tokens = []
-    pos = 0
-    line = 1
-    for m in _LEX_RE.finditer(text):
-        line += text.count("\n", pos, m.start())
-        pos = m.start()
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "comment":
-            tokens.append(Token(tok, line, "comment"))
-        elif kind in ("rawstr", "str", "char", "num"):
-            tokens.append(Token(tok, line, "lit"))
-        elif kind == "id":
-            tokens.append(Token(tok, line, "id"))
-        elif kind == "punct":
-            tokens.append(Token(tok, line, "punct"))
-        # 'delim' is an internal group of rawstr; never a lastgroup.
-    return tokens
-
-
-def libclang_tokens(path, text):
-    """Tokenize with libclang; raises if the bindings are unusable.
-    Produces the same Token shape as lex_tokens() so both engines feed
-    one rule matcher."""
-    import clang.cindex as ci
-
-    index = ci.Index.create()
-    tu = index.parse(
-        path, args=["-std=c++20", "-fsyntax-only"],
-        unsaved_files=[(path, text)],
-        options=ci.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-    kinds = {
-        ci.TokenKind.IDENTIFIER: "id",
-        ci.TokenKind.KEYWORD: "id",
-        ci.TokenKind.PUNCTUATION: "punct",
-        ci.TokenKind.LITERAL: "lit",
-        ci.TokenKind.COMMENT: "comment",
-    }
-    tokens = []
-    for tok in tu.cursor.get_tokens():
-        kind = kinds.get(tok.kind)
-        if kind is None:
-            continue
-        tokens.append(Token(tok.spelling, tok.location.line, kind))
-    return tokens
-
-
-def make_tokenizer(engine):
-    """Resolve the engine choice to (tokenizer, resolved_name)."""
-    if engine in ("auto", "libclang"):
-        try:
-            import clang.cindex as ci
-            ci.Index.create()  # verifies libclang itself loads
-            return (libclang_tokens, "libclang")
-        except Exception as e:  # ImportError, LibclangError, ...
-            if engine == "libclang":
-                print(f"tlslint: libclang engine unavailable: {e}",
-                      file=sys.stderr)
-                sys.exit(2)
-    return (lambda path, text: lex_tokens(text), "lex")
-
-
-# ---------------------------------------------------------------------
-# Rule matchers (token-stream level, shared by both engines)
-# ---------------------------------------------------------------------
-
 def in_scope(relpath, dirs=None, files=None):
     rel = relpath.replace(os.sep, "/")
     if files is not None:
@@ -226,12 +134,11 @@ def in_scope(relpath, dirs=None, files=None):
     return any(rel.startswith(d) for d in dirs)
 
 
-def check_t1(relpath, tokens, report):
+def check_t1(relpath, code, report):
     if not in_scope(relpath, dirs=T1_SCOPE_DIRS):
         return
-    if in_scope(relpath, files=T1_ALLOWED_FILES):
+    if in_scope(relpath, files=lintsupp.AUDITED_MUTATOR_FILES):
         return
-    code = [t for t in tokens if t.kind != "comment"]
     for i in range(len(code) - 3):
         recv, dot, meth, paren = code[i:i + 4]
         if dot.text not in (".", "->") or paren.text != "(":
@@ -239,10 +146,10 @@ def check_t1(relpath, tokens, report):
         if recv.kind != "id" or meth.kind != "id":
             continue
         name = meth.text
-        if name in T1_DISTINCT_MUTATORS:
+        if name in lintsupp.DISTINCT_MUTATORS:
             pass
-        elif name in T1_GENERIC_MUTATORS and any(
-                h in recv.text.lower() for h in T1_RECEIVER_HINTS):
+        elif name in lintsupp.GENERIC_MUTATORS and any(
+                h in recv.text.lower() for h in lintsupp.RECEIVER_HINTS):
             pass
         else:
             continue
@@ -254,12 +161,11 @@ def check_t1(relpath, tokens, report):
             "seam must observe every SpecState/victim-cache write"))
 
 
-def check_t2(relpath, tokens, report):
+def check_t2(relpath, code, report):
     if not in_scope(relpath, dirs=T2_SCOPE_DIRS):
         return
     if in_scope(relpath, files=T2_ALLOWED_FILES):
         return
-    code = [t for t in tokens if t.kind != "comment"]
     for i, tok in enumerate(code):
         if tok.text == "pthread_create":
             report(Diagnostic(
@@ -290,10 +196,9 @@ def check_t2(relpath, tokens, report):
                 "fan work out through SimExecutor::parallelFor"))
 
 
-def check_t3(relpath, tokens, report):
+def check_t3(relpath, code, report):
     if not in_scope(relpath, files=T3_SCOPE_FILES):
         return
-    code = [t for t in tokens if t.kind != "comment"]
     for i, tok in enumerate(code):
         if tok.text != "static_cast":
             continue
@@ -324,10 +229,9 @@ def check_t3(relpath, tokens, report):
                 "is checked or explicit"))
 
 
-def check_t4(relpath, tokens, report):
+def check_t4(relpath, code, report):
     if not in_scope(relpath, dirs=T4_SCOPE_DIRS):
         return
-    code = [t for t in tokens if t.kind != "comment"]
     main_line = None
     has_session = False
     for i, tok in enumerate(code):
@@ -352,50 +256,29 @@ CHECKS = {
 }
 
 
+def run(an, enabled, report):
+    for relpath, fm in an.prog.files.items():
+        for check in enabled:
+            CHECKS[check](relpath, fm.code, report)
+
+
+
 # ---------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------
 
-def scan_file(path, relpath, tokenizer, enabled, diags, census):
-    try:
-        with open(path, encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    except OSError as e:
-        diags.append(Diagnostic(relpath, 0, "io", str(e)))
-        return 0
-    tokens = tokenizer(path, text)
-    lines = text.splitlines()
-    supp = lintsupp.Suppressions(relpath, tokens, lines, "tlslint")
-    diags.extend(supp.diags)
-    lintsupp.merge_census(census, supp.by_check)
-
-    def report(d):
-        if not supp.suppresses(d.line, d.check):
-            diags.append(d)
-
-    for check in enabled:
-        CHECKS[check](relpath, tokens, report)
-    return supp.count
+#: (suppression prefix, check ids, run(analysis, enabled, report)).
+#: run() may return extra census fields for the staticanalysis block.
+FAMILIES = (
+    ("tlslint", CHECK_IDS, run),
+    ("tlsa", tlsa.CHECK_IDS, tlsa.run),
+    ("tlsdet", tlsdet.CHECK_IDS, tlsdet.run),
+    ("tlslife", tlslife.CHECK_IDS, tlslife.run),
+)
+ALL_CHECKS = tuple(c for _, ids, _ in FAMILIES for c in ids)
 
 
-def find_sources(root, paths):
-    if paths:
-        return [(os.path.abspath(p),
-                 os.path.relpath(os.path.abspath(p), root))
-                for p in paths]
-    out = []
-    for d in DEFAULT_SCAN_DIRS:
-        for dirpath, _, files in os.walk(os.path.join(root, d)):
-            for f in sorted(files):
-                if f.endswith(SOURCE_EXTS):
-                    full = os.path.join(dirpath, f)
-                    out.append((full, os.path.relpath(full, root)))
-    return out
-
-
-def write_json(path, engine, enabled, files_scanned, per_check,
-               census, wall):
-    violations = sum(per_check.values())
+def write_json(path, block, enabled, per_check, wall):
     doc = {
         "schema": "tlsim-bench-v1",
         "bench": "tlslint",
@@ -403,17 +286,7 @@ def write_json(path, engine, enabled, files_scanned, per_check,
         "jobs": 1,
         "wall_seconds": wall,
         "simulated_cycles": 0,
-        "staticanalysis": {
-            "engine": engine,
-            "checks_run": len(enabled),
-            "files_scanned": files_scanned,
-            "violations": violations,
-            # Combined census: reasoned allows for BOTH tools' grammars
-            # seen in the scanned files, keyed by check id (the
-            # tlslint T* and tlsa A* namespaces are disjoint).
-            "suppressions": sum(census.values()),
-            "suppressions_by_check": dict(sorted(census.items())),
-        },
+        "staticanalysis": block,
         "results": [
             {"name": c, "violations": per_check.get(c, 0)}
             for c in sorted(set(enabled) | set(per_check))
@@ -426,81 +299,105 @@ def write_json(path, engine, enabled, files_scanned, per_check,
 
 def main():
     ap = argparse.ArgumentParser(
-        description="project-specific static-analysis checks")
+        description="the repo's static-analysis passes (T/A/D/P)")
     ap.add_argument("--root", default=None,
                     help="repository root (default: parent of tools/)")
     ap.add_argument("--engine", default="auto",
                     choices=("auto", "libclang", "lex"))
     ap.add_argument("--check", default=None,
-                    help="comma-separated subset of checks "
+                    help="comma-separated subset of passes "
                          "(default: all)")
-    ap.add_argument("--treat-as", default=None, metavar="RELPATH",
-                    help="scope rules as if the (single) input file "
-                         "lived at this repo-relative path (fixture "
-                         "tests)")
     ap.add_argument("--json", default=None, metavar="FILE",
                     help="write a tlsim-bench-v1 report with a "
                          "'staticanalysis' block")
-    ap.add_argument("--list-checks", action="store_true")
+    ap.add_argument("--require-manifests", action="store_true",
+                    help="a missing manifest is an error (the "
+                         "real-tree CI configuration)")
     ap.add_argument("-q", "--quiet", action="store_true")
-    ap.add_argument("paths", nargs="*")
     args = ap.parse_args()
 
-    if args.list_checks:
-        for c in CHECK_IDS:
-            print(c)
-        return 0
-
     if args.check:
-        enabled = [c.strip() for c in args.check.split(",") if c.strip()]
-        bad = [c for c in enabled if c not in CHECKS]
+        wanted = {c.strip() for c in args.check.split(",") if c.strip()}
+        bad = sorted(wanted - set(ALL_CHECKS))
         if bad:
             print(f"tlslint: unknown check(s): {', '.join(bad)}",
                   file=sys.stderr)
             return 2
+        enabled = [c for c in ALL_CHECKS if c in wanted]
     else:
-        enabled = list(CHECK_IDS)
+        enabled = list(ALL_CHECKS)
 
-    root = args.root or os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
-    root = os.path.abspath(root)
-
-    sources = find_sources(root, args.paths)
+    root = os.path.abspath(args.root or os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    sources = lintsupp.find_sources(root)
     if not sources:
         print("tlslint: no sources found", file=sys.stderr)
         return 2
-    if args.treat_as:
-        if len(sources) != 1:
-            print("tlslint: --treat-as needs exactly one input file",
-                  file=sys.stderr)
-            return 2
-        sources = [(sources[0][0], args.treat_as)]
 
     start = time.monotonic()
-    tokenizer, engine = make_tokenizer(args.engine)
+    tokenizer, engine = lintsupp.make_tokenizer(args.engine)
+    files = {}
+    supp_of = {}
     diags = []
-    suppressions = 0
     census = {}
     for full, rel in sources:
-        suppressions += scan_file(full, rel, tokenizer, enabled, diags,
-                                  census)
+        try:
+            with open(full, encoding="utf-8", errors="replace") as f:
+                text = f.read()
+        except OSError as e:
+            diags.append(Diagnostic(rel, 0, "io", str(e)))
+            continue
+        tokens = tokenizer(full, text)
+        lines = text.splitlines()
+        files[rel] = tlsa.build_file_model(rel, tokens, lines)
+        supp = lintsupp.Suppressions(rel, tokens, lines)
+        supp_of[rel] = supp
+        diags.extend(supp.diags)
+        for check, n in supp.by_check.items():
+            census[check] = census.get(check, 0) + n
+    an = lintsupp.Analysis(tlsa.Program(files), supp_of, root,
+                           args.require_manifests)
 
-    diags.sort(key=lambda d: (d.path, d.line))
+    block = {
+        "engine": engine,
+        "checks_run": len(enabled),
+        "files_scanned": len(sources),
+    }
+    for tool, ids, family_run in FAMILIES:
+        mine = [c for c in enabled if c in ids]
+        if not mine:
+            continue
+
+        def report(d, tool=tool):
+            supp = supp_of.get(d.path)
+            if supp is None or not supp.suppresses(d.line, tool, d.check):
+                diags.append(d)
+
+        block.update(family_run(an, mine, report) or {})
+
+    uniq = {d.key(): d for d in diags}
+    diags = [uniq[k] for k in sorted(uniq)]
     per_check = {}
     for d in diags:
         per_check[d.check] = per_check.get(d.check, 0) + 1
         if not args.quiet:
             print(d)
 
+    suppressions = sum(census.values())
     if args.json:
-        write_json(args.json, engine, enabled, len(sources), per_check,
-                   census, time.monotonic() - start)
+        block.update({
+            "violations": len(diags),
+            "suppressions": suppressions,
+            "suppressions_by_check": dict(sorted(census.items())),
+        })
+        write_json(args.json, block, enabled, per_check,
+                   time.monotonic() - start)
 
     if not args.quiet:
         verdict = (f"{len(diags)} violation(s)" if diags else "clean")
         print(f"tlslint[{engine}]: {len(sources)} files, "
-              f"{len(enabled)} checks, {suppressions} reasoned "
-              f"suppression(s): {verdict}")
+              f"{len(an.prog.funcs)} functions, {len(enabled)} passes, "
+              f"{suppressions} reasoned suppression(s): {verdict}")
     return 1 if diags else 0
 
 
