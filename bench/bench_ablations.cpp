@@ -103,7 +103,7 @@ main(int argc, char **argv)
         const WorkloadTrace *w;
         MachineConfig mc;
         ExecMode mode;
-        const TraceIndex *idx = nullptr;
+        const TraceIndex *index = nullptr;
     };
     std::vector<Job> jobs;
     auto add = [&](const WorkloadTrace &w, MachineConfig mc,
@@ -232,7 +232,7 @@ main(int argc, char **argv)
     std::vector<RunResult> res(jobs.size());
     ex.parallelFor(jobs.size(), [&](std::size_t i) {
         TlsMachine m(jobs[i].mc);
-        const TraceIndex *idx = jobs[i].idx;
+        const TraceIndex *idx = jobs[i].index;
         if (!idx && jobs[i].w == &traces->original)
             idx = traces->originalIndex.get();
         else if (!idx && jobs[i].w == &traces->tls)

@@ -45,7 +45,7 @@ class LineSet
         std::size_t insert_at = kNotFound;
         while (slots_[idx].gen == gen_) {
             const Slot &s = slots_[idx];
-            if (s.idx != kTombstone) {
+            if (s.dense != kTombstone) {
                 if (s.line == line)
                     return false;
             } else if (insert_at == kNotFound) {
@@ -70,12 +70,12 @@ class LineSet
         std::size_t idx = findSlot(line);
         if (idx == kNotFound)
             return false;
-        std::uint32_t li = slots_[idx].idx;
-        slots_[idx].idx = kTombstone;
+        std::uint32_t li = slots_[idx].dense;
+        slots_[idx].dense = kTombstone;
         if (li + 1 != list_.size()) {
             Addr moved = list_.back();
             list_[li] = moved;
-            slots_[findSlot(moved)].idx = li;
+            slots_[findSlot(moved)].dense = li;
         }
         list_.pop_back();
         return true;
@@ -133,7 +133,7 @@ class LineSet
     {
         Addr line = 0;
         std::uint32_t gen = 0; ///< live iff equal to the current gen_
-        std::uint32_t idx = 0; ///< dense-array index, or kTombstone
+        std::uint32_t dense = 0; ///< dense-array index, or kTombstone
     };
 
     static constexpr std::size_t kMinCapacity = 64;
@@ -156,7 +156,7 @@ class LineSet
         std::size_t idx = hashLine(line) & mask_;
         while (slots_[idx].gen == gen_) {
             const Slot &s = slots_[idx];
-            if (s.idx != kTombstone && s.line == line)
+            if (s.dense != kTombstone && s.line == line)
                 return idx;
             idx = (idx + 1) & mask_;
         }

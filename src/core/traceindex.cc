@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <unordered_map>
 
 #include "base/addr.h"
@@ -19,8 +16,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_builds{0};
 
-constexpr std::uint32_t kIndexMagic = 0x58494c54; // "TLIX"
-constexpr std::uint32_t kIndexVersion = 1;
 constexpr std::uint32_t kNoEpochIdx =
     std::numeric_limits<std::uint32_t>::max();
 
@@ -42,21 +37,6 @@ epochsInOrder(const WorkloadTrace &w)
     return out;
 }
 
-template <typename T>
-void
-put(std::ostream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-get(std::istream &is, T *v)
-{
-    is.read(reinterpret_cast<char *>(v), sizeof(T));
-    return static_cast<bool>(is);
-}
-
 } // namespace
 
 std::uint64_t
@@ -66,18 +46,12 @@ TraceIndex::builds()
 }
 
 TraceIndex::TraceIndex(const WorkloadTrace &workload,
-                       unsigned line_bytes, PrivateTag)
+                       unsigned line_bytes)
     : source_(&workload), lineBytes_(line_bytes)
 {
     if (!isPowerOf2(line_bytes))
         panic("TraceIndex: line size %u not a power of two",
               line_bytes);
-}
-
-TraceIndex::TraceIndex(const WorkloadTrace &workload,
-                       unsigned line_bytes)
-    : TraceIndex(workload, line_bytes, PrivateTag{})
-{
     EpochFlags flags;
     analyse(flags);
     pack(flags);
@@ -294,108 +268,6 @@ TraceIndex::viewOf(const EpochTrace *epoch) const
               "workload",
               static_cast<const void *>(epoch));
     return &views_[it->second];
-}
-
-// ---------------------------------------------------------------------
-// Persistence
-// ---------------------------------------------------------------------
-
-void
-TraceIndex::save(std::ostream &os) const
-{
-    put<std::uint32_t>(os, kIndexMagic);
-    put<std::uint32_t>(os, kIndexVersion);
-    put<std::uint32_t>(os, lineBytes_);
-    put<std::uint64_t>(os, totals_.epochPrivate);
-    put<std::uint64_t>(os, totals_.readShared);
-    put<std::uint64_t>(os, totals_.conflict);
-    put<std::uint64_t>(os, maxSectionLines_);
-    put<std::uint64_t>(os, views_.size());
-    std::vector<std::uint8_t> buf;
-    for (const EpochView &v : views_) {
-        put<std::uint64_t>(os, v.size());
-        buf.resize(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-            buf[i] = checkedNarrow<std::uint8_t>((v.head[i] >> 11) & 3);
-        os.write(reinterpret_cast<const char *>(buf.data()),
-                 static_cast<std::streamsize>(buf.size()));
-    }
-}
-
-std::unique_ptr<TraceIndex>
-TraceIndex::load(std::istream &is, const WorkloadTrace &workload,
-                 unsigned line_bytes)
-{
-    std::uint32_t magic = 0, version = 0, lb = 0;
-    if (!get(is, &magic) || !get(is, &version) || !get(is, &lb) ||
-        magic != kIndexMagic || version != kIndexVersion ||
-        lb != line_bytes)
-        return nullptr;
-
-    std::unique_ptr<TraceIndex> idx(
-        new TraceIndex(workload, line_bytes, PrivateTag{}));
-    std::uint64_t epoch_count = 0;
-    if (!get(is, &idx->totals_.epochPrivate) ||
-        !get(is, &idx->totals_.readShared) ||
-        !get(is, &idx->totals_.conflict))
-        return nullptr;
-    std::uint64_t msl = 0;
-    if (!get(is, &msl) || !get(is, &epoch_count))
-        return nullptr;
-    idx->maxSectionLines_ = static_cast<std::size_t>(msl);
-
-    std::vector<const EpochTrace *> epochs = epochsInOrder(workload);
-    if (epoch_count != epochs.size()) {
-        inform("trace index: epoch count %llu does not match the "
-               "workload's %zu, rebuilding",
-               static_cast<unsigned long long>(epoch_count),
-               epochs.size());
-        return nullptr;
-    }
-
-    EpochFlags flags(epochs.size());
-    for (std::size_t ei = 0; ei < epochs.size(); ++ei) {
-        std::uint64_t n = 0;
-        if (!get(is, &n) || n != epochs[ei]->records.size()) {
-            inform("trace index: record shape mismatch at epoch %zu, "
-                   "rebuilding",
-                   ei);
-            return nullptr;
-        }
-        flags[ei].resize(n);
-        is.read(reinterpret_cast<char *>(flags[ei].data()),
-                static_cast<std::streamsize>(n));
-        if (!is)
-            return nullptr;
-        for (std::uint8_t b : flags[ei])
-            if (b & ~std::uint8_t{3})
-                return nullptr;
-    }
-
-    idx->pack(flags);
-    return idx;
-}
-
-void
-TraceIndex::saveFile(const std::string &path) const
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot write trace index file %s", path.c_str());
-    save(os);
-    if (!os)
-        fatal("error writing trace index file %s", path.c_str());
-}
-
-std::unique_ptr<TraceIndex>
-TraceIndex::loadFile(const std::string &path,
-                     const WorkloadTrace &workload,
-                     unsigned line_bytes)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return nullptr;
-    return load(is, workload, line_bytes);
 }
 
 } // namespace tlsim

@@ -40,9 +40,6 @@
 #define CORE_TRACEINDEX_H
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -185,35 +182,7 @@ class TraceIndex
      *  points: one capture must mean one analysis. */
     static std::uint64_t builds();
 
-    // ----- persistence (alongside the trace in the trace cache) ------
-
-    /** Serialize the analysis results (oracle bits + totals). */
-    void save(std::ostream &os) const;
-
-    /**
-     * Rebuild an index from a saved analysis and its source workload.
-     * Returns nullptr (with a log message) if the file is malformed or
-     * does not match the workload's shape / line size; the caller then
-     * falls back to a fresh build. Does not count toward builds().
-     */
-    static std::unique_ptr<TraceIndex>
-    load(std::istream &is, const WorkloadTrace &workload,
-         unsigned line_bytes);
-
-    static std::unique_ptr<TraceIndex>
-    loadFile(const std::string &path, const WorkloadTrace &workload,
-             unsigned line_bytes);
-    void saveFile(const std::string &path) const;
-
   private:
-    struct PrivateTag
-    {
-    };
-
-    /** Shared layout setup; flags are filled by analyse() or load(). */
-    TraceIndex(const WorkloadTrace &workload, unsigned line_bytes,
-               PrivateTag);
-
     /** One byte per record: bit0 conflict line, bit1 covered load.
      *  Outer index: epochs in workload traversal order. */
     using EpochFlags = std::vector<std::vector<std::uint8_t>>;

@@ -8,7 +8,6 @@
 #include "base/stats.h"
 #include "base/sync.h"
 #include "base/threadannot.h"
-#include "core/traceindex.h"
 #include "sim/traceio.h"
 
 namespace tlsim {
@@ -20,7 +19,7 @@ namespace {
  * Per-stem capture serialization. Two simulation points wanting the
  * same (benchmark, config) capture used to race the load-or-capture
  * sequence: both would miss, both would run the expensive capture, and
- * both would write the same .trace/.idx files concurrently — a torn
+ * both would write the same .trace files concurrently — a torn
  * file for any later reader. Callers now hold the stem's mutex across
  * the whole sequence, so the first caller captures and everyone else
  * loads the finished bytes ("single-flight"). Distinct stems stay
@@ -108,50 +107,18 @@ traceCacheKey(tpcc::TxnType type, const ExperimentConfig &cfg)
 namespace {
 
 /**
- * Attach pre-analysis indexes to freshly loaded/captured traces,
- * reusing the `.idx` files cached alongside the trace pair when they
- * match. Must run after `traces` holds its final workloads (the index
- * references its source workload by address).
+ * Load the trace pair for (type, cfg) from `cache_dir`, or capture it
+ * (and, with a cache directory, write it there). The returned traces
+ * carry no indexes yet.
  */
-void
-attachIndexes(BenchmarkTraces &traces, unsigned line_bytes,
-              const std::string &stem)
+std::shared_ptr<BenchmarkTraces>
+loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
+              const std::string &cache_dir)
 {
-    namespace fs = std::filesystem;
-    std::string orig_path = stem + ".orig.idx";
-    std::string tls_path = stem + ".tls.idx";
-
-    if (fs::exists(orig_path))
-        traces.originalIndex = TraceIndex::loadFile(
-            orig_path, traces.original, line_bytes);
-    if (fs::exists(tls_path))
-        traces.tlsIndex =
-            TraceIndex::loadFile(tls_path, traces.tls, line_bytes);
-    if (traces.originalIndex && traces.tlsIndex)
-        return;
-
-    bool save_orig = !traces.originalIndex;
-    bool save_tls = !traces.tlsIndex;
-    traces.buildIndexes(line_bytes);
-    if (save_orig)
-        traces.originalIndex->saveFile(orig_path);
-    if (save_tls)
-        traces.tlsIndex->saveFile(tls_path);
-}
-
-} // namespace
-
-SharedTraces
-captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
-                    const std::string &cache_dir)
-{
-    unsigned line_bytes = cfg.machine.mem.lineBytes;
     if (cache_dir.empty()) {
         stats::GlobalCounters::instance().add("tracecache.bypass");
-        auto traces = std::make_shared<BenchmarkTraces>(
+        return std::make_shared<BenchmarkTraces>(
             captureTraces(type, cfg));
-        traces->buildIndexes(line_bytes);
-        return traces;
     }
 
     namespace fs = std::filesystem;
@@ -172,7 +139,6 @@ captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
             loadTraceFile(tls_path, &tls)) {
             traces->original = std::move(orig);
             traces->tls = std::move(tls);
-            attachIndexes(*traces, line_bytes, stem);
             stats::GlobalCounters::instance().add("tracecache.hit");
             return traces;
         }
@@ -191,9 +157,20 @@ captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
         std::make_shared<BenchmarkTraces>(captureTraces(type, cfg));
     saveTraceFile(orig_path, traces->original);
     saveTraceFile(tls_path, traces->tls);
-    traces->buildIndexes(line_bytes);
-    traces->originalIndex->saveFile(stem + ".orig.idx");
-    traces->tlsIndex->saveFile(stem + ".tls.idx");
+    return traces;
+}
+
+} // namespace
+
+SharedTraces
+captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
+                    const std::string &cache_dir)
+{
+    // Indexes are derived state: always analysed from the traces in
+    // hand, never read back from disk. Built once the traces sit at
+    // their final address (an index references its source workload).
+    auto traces = loadOrCapture(type, cfg, cache_dir);
+    traces->buildIndexes(cfg.machine.mem.lineBytes);
     return traces;
 }
 

@@ -49,7 +49,8 @@ std::string traceCacheKey(tpcc::TxnType type,
  * shared_ptr. Otherwise the pair of trace files under
  * `cache_dir/<BENCH>-<key>.{orig,tls}.trace` is loaded if present and
  * valid, else captured and written. The directory is created on
- * demand.
+ * demand. Either way both TraceIndexes are then built in-process from
+ * the returned traces: the cache stores traces only, never an index.
  */
 SharedTraces captureTracesShared(tpcc::TxnType type,
                                  const ExperimentConfig &cfg,

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <sstream>
 #include <vector>
 
 #include "base/addr.h"
@@ -213,76 +212,6 @@ TEST(TraceIndex, BuildCounterCountsOnlyFullAnalyses)
     std::uint64_t before = TraceIndex::builds();
     TraceIndex idx(w, kLineBytes);
     EXPECT_EQ(TraceIndex::builds(), before + 1);
-
-    std::stringstream ss;
-    idx.save(ss);
-    auto loaded = TraceIndex::load(ss, w, kLineBytes);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(TraceIndex::builds(), before + 1); // load is not a build
-}
-
-TEST(TraceIndex, SaveLoadRoundTripsAnalysis)
-{
-    IndexBuilder b;
-    auto e0 = [&b](Tracer &t) {
-        t.store(b.pc(), b.addr(word(100)), 8);
-        t.store(b.pc(), b.addr(word(100)), 8);
-        t.load(b.pc(), b.addr(word(100)), 8); // covered after stores
-    };
-    auto e1 = [&b](Tracer &t) {
-        t.load(b.pc(), b.addr(word(100)), 8); // conflict line
-    };
-    auto w = b.loopTxn({e0, e1});
-
-    TraceIndex idx(w, kLineBytes);
-    std::stringstream ss;
-    idx.save(ss);
-    auto loaded = TraceIndex::load(ss, w, kLineBytes);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_TRUE(loaded->matches(&w, kLineBytes));
-    EXPECT_EQ(loaded->totals().conflict, idx.totals().conflict);
-    EXPECT_EQ(loaded->totals().readShared, idx.totals().readShared);
-    EXPECT_EQ(loaded->totals().epochPrivate,
-              idx.totals().epochPrivate);
-    EXPECT_EQ(loaded->maxSectionLines(), idx.maxSectionLines());
-
-    for (const auto &txn : w.txns) {
-        for (const auto &sec : txn.sections) {
-            for (const auto &e : sec.epochs) {
-                const EpochView *a = idx.viewOf(&e);
-                const EpochView *l = loaded->viewOf(&e);
-                EXPECT_EQ(a->head, l->head);
-                EXPECT_EQ(a->pc, l->pc);
-                EXPECT_EQ(a->addr32, l->addr32);
-                EXPECT_EQ(a->wide, l->wide);
-                EXPECT_EQ(a->addrBase, l->addrBase);
-                EXPECT_EQ(a->footprint, l->footprint);
-            }
-        }
-    }
-}
-
-TEST(TraceIndex, LoadRejectsMismatchedLineSizeAndShape)
-{
-    IndexBuilder b;
-    auto w = b.loopTxn({[&b](Tracer &t) {
-        t.store(b.pc(), b.addr(word(2)), 8);
-    }});
-    TraceIndex idx(w, kLineBytes);
-    std::stringstream ss;
-    idx.save(ss);
-    EXPECT_EQ(TraceIndex::load(ss, w, 64), nullptr);
-
-    auto other = b.loopTxn({[&b](Tracer &t) {
-        t.store(b.pc(), b.addr(word(2)), 8);
-        t.store(b.pc(), b.addr(word(3)), 8);
-    }});
-    std::stringstream ss2;
-    idx.save(ss2);
-    EXPECT_EQ(TraceIndex::load(ss2, other, kLineBytes), nullptr);
-
-    std::stringstream junk("not an index");
-    EXPECT_EQ(TraceIndex::load(junk, w, kLineBytes), nullptr);
 }
 
 TEST(TraceIndex, ViewOfForeignEpochDies)

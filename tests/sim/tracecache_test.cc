@@ -1,22 +1,28 @@
 /**
  * @file
- * Trace-cache tests: key stability/distinctness and the on-disk
- * roundtrip (the second captureTracesShared() loads from disk and must
- * replay identically to the first).
+ * Trace-cache tests: key stability/distinctness, the on-disk roundtrip
+ * (the second captureTracesShared() loads from disk and must replay
+ * identically to the first), and that the cache holds traces only:
+ * every load re-derives its indexes from the traces themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "base/stats.h"
+#include "core/traceindex.h"
 #include "sim/executor.h"
 #include "sim/tracecache.h"
 #include "sim/traceio.h"
+#include "verify/checker.h"
 
 namespace tlsim {
 namespace sim {
@@ -37,6 +43,56 @@ freshCacheDir(const char *tag)
     std::string dir = ::testing::TempDir() + "/tlsim_tc_" + tag + "_" +
                       std::to_string(::getpid());
     return dir;
+}
+
+std::set<std::string>
+filesIn(const std::string &dir)
+{
+    std::set<std::string> out;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        out.insert(e.path().filename().string());
+    return out;
+}
+
+template <typename T>
+void
+put(std::ostream &os, T v)
+{
+    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
+}
+
+/**
+ * Write a well-formed index file in the layout older trace caches kept
+ * beside each trace ("TLIX", version 1, line bytes, class totals, max
+ * section lines, epoch count, then per epoch a record count and one
+ * flag byte per record), with every flag byte zero: no conflict lines,
+ * no covered loads. Trusting it would drop every violation.
+ */
+void
+writeLegacyZeroIndex(const std::string &path, const WorkloadTrace &w,
+                     const TraceIndex &shape)
+{
+    std::vector<std::uint64_t> counts;
+    for (const TransactionTrace &txn : w.txns)
+        for (const TraceSection &sec : txn.sections)
+            for (const EpochTrace &e : sec.epochs)
+                counts.push_back(e.records.size());
+
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    put<std::uint32_t>(os, 0x58494c54); // "TLIX"
+    put<std::uint32_t>(os, 1);
+    put<std::uint32_t>(os, shape.lineBytes());
+    put<std::uint64_t>(os, shape.totals().epochPrivate);
+    put<std::uint64_t>(os, shape.totals().readShared);
+    put<std::uint64_t>(os, shape.totals().conflict);
+    put<std::uint64_t>(os, shape.maxSectionLines());
+    put<std::uint64_t>(os, counts.size());
+    for (std::uint64_t n : counts) {
+        put<std::uint64_t>(os, n);
+        std::vector<char> zero(n, 0);
+        os.write(zero.data(), static_cast<std::streamsize>(n));
+    }
+    ASSERT_TRUE(os.good()) << path;
 }
 
 TEST(TraceCacheKey, StableForIdenticalConfigs)
@@ -184,6 +240,60 @@ TEST(TraceCache, CorruptCacheFileFallsBackToCapture)
     // The corrupt file was replaced by a valid one.
     WorkloadTrace reloaded;
     EXPECT_TRUE(loadTraceFile(path, &reloaded));
+}
+
+TEST(TraceCache, StaleIndexFileIsIgnored)
+{
+    // An index is derived state. A cache hit must analyse the reloaded
+    // traces afresh rather than trust an index file left beside them:
+    // a well-formed one with its conflict bits cleared would otherwise
+    // make the simulator skip every violation scan, silently.
+    ExperimentConfig cfg = tinyConfig();
+    unsigned line_bytes = cfg.machine.mem.lineBytes;
+    std::string dir = freshCacheDir("stale_idx");
+
+    SharedTraces first =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg, dir);
+    ASSERT_NE(first, nullptr);
+    ASSERT_GT(first->tlsIndex->totals().conflict, 0u)
+        << "capture has no conflict lines to lose";
+
+    std::string base =
+        "NEW_ORDER-" + traceCacheKey(tpcc::TxnType::NewOrder, cfg);
+    EXPECT_EQ(filesIn(dir), (std::set<std::string>{
+                                base + ".orig.trace",
+                                base + ".tls.trace"}));
+
+    std::string stale = base + ".tls.idx";
+    writeLegacyZeroIndex(dir + "/" + stale, first->tls,
+                         *first->tlsIndex);
+
+    std::uint64_t builds_before = TraceIndex::builds();
+    SharedTraces second =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg, dir);
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(TraceIndex::builds(), builds_before + 2);
+
+    verify::CheckResult chk = verify::checkTrace(second->tls, line_bytes);
+    std::vector<std::string> diff = verify::diffAgainstIndex(
+        chk, *second->tlsIndex, second->tls);
+    EXPECT_TRUE(diff.empty()) << diff.size() << " mismatches, first: "
+                              << (diff.empty() ? "" : diff.front());
+
+    for (Bar bar : allBars()) {
+        RunResult a = runBar(bar, *first, cfg);
+        RunResult b = runBar(bar, *second, cfg);
+        EXPECT_EQ(a.makespan, b.makespan) << barName(bar);
+        EXPECT_EQ(a.primaryViolations, b.primaryViolations)
+            << barName(bar);
+        EXPECT_EQ(a.epochs, b.epochs) << barName(bar);
+    }
+
+    // The hit wrote nothing: the traces, plus the planted file that
+    // no load reads.
+    EXPECT_EQ(filesIn(dir),
+              (std::set<std::string>{base + ".orig.trace",
+                                     base + ".tls.trace", stale}));
 }
 
 } // namespace

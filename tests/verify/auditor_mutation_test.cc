@@ -365,7 +365,7 @@ TEST(CheckerMutation, IndexBitDisagreementIsCaught)
     // Positive control: checker and oracle agree bit-for-bit.
     ASSERT_TRUE(verify::diffAgainstIndex(chk, idx, w).empty());
 
-    // Flip one classification bit (as a corrupted .idx would) — the
+    // Flip one classification bit (as an analysis defect would) — the
     // diff must flag it; a skipped conflict bit means the simulator
     // would never scan that line for violations.
     bool flipped = false;

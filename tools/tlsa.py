@@ -160,15 +160,15 @@ BUILTIN_TYPES = {
 # --- program model -------------------------------------------------------
 
 class CallSite:
-    __slots__ = ("name", "quals", "recv", "recv_class", "line", "idx")
+    __slots__ = ("name", "quals", "recv", "recv_class", "line", "tok")
 
-    def __init__(self, name, quals, recv, recv_class, line, idx):
+    def __init__(self, name, quals, recv, recv_class, line, tok):
         self.name = name          # callee spelling
         self.quals = quals        # explicit A::B:: prefix, tuple
         self.recv = recv          # receiver spelling ('' if none)
         self.recv_class = recv_class  # class, when statically known
         self.line = line
-        self.idx = idx            # index into the file's code tokens
+        self.tok = tok            # index into the file's code tokens
 
 
 class LockAcq:

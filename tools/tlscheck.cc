@@ -3,13 +3,13 @@
  * tlscheck — offline trace checker and simulator cross-validator.
  *
  * Mode 1, raw trace:
- *   tlscheck --trace=FILE [--idx=FILE] [--line-bytes=N]
+ *   tlscheck --trace=FILE [--line-bytes=N]
  * Replays the captured trace through the independent happens-before
  * checker (src/verify/checker) and diffs its per-record conflict /
- * covered-load classification against a TraceIndex — the one loaded
- * from --idx if given, else one built in-process. Any disagreement is
- * a hard error: a mis-classified line would make the simulator skip
- * violation scans.
+ * covered-load classification against a TraceIndex built in-process
+ * from the same trace. Any disagreement is a hard error: a
+ * mis-classified line would make the simulator skip violation
+ * scans.
  *
  * Mode 2, benchmark:
  *   tlscheck --benchmark=NAME [--quick] [--txns=N] [--warmup=N]
@@ -53,7 +53,7 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: tlscheck --trace=FILE [--idx=FILE] [--line-bytes=N]\n"
+        "usage: tlscheck --trace=FILE [--line-bytes=N]\n"
         "       tlscheck --benchmark=NAME [--quick] [--txns=N]\n"
         "                [--warmup=N] [--trace-cache=DIR]\n"
         "                [--audit=off|commit|full]\n");
@@ -101,17 +101,8 @@ checkTraceFile(const CliArgs &a)
     verify::CheckResult chk = verify::checkTrace(w, line_bytes);
     printSummary(a.str("trace").c_str(), chk);
 
-    std::unique_ptr<TraceIndex> owned;
-    if (a.has("idx")) {
-        owned = TraceIndex::loadFile(a.str("idx"), w, line_bytes);
-        if (!owned)
-            fatal("cannot load trace index %s against this trace",
-                  a.str("idx").c_str());
-    } else {
-        owned = std::make_unique<TraceIndex>(w, line_bytes);
-    }
-    return report("index diff",
-                  verify::diffAgainstIndex(chk, *owned, w));
+    TraceIndex idx(w, line_bytes);
+    return report("index diff", verify::diffAgainstIndex(chk, idx, w));
 }
 
 tpcc::TxnType
@@ -196,7 +187,7 @@ main(int argc, char **argv)
     CliArgs a;
     a.parse(argc, argv, 1);
     if (a.has("trace")) {
-        a.allowOnly("tlscheck --trace", {"trace", "idx", "line-bytes"});
+        a.allowOnly("tlscheck --trace", {"trace", "line-bytes"});
         return checkTraceFile(a);
     }
     if (a.has("benchmark")) {

@@ -408,11 +408,11 @@ def check_d3(prog, facts_of, closure, report):
         for cs in fn.calls:
             if cs.name not in EXECUTORS:
                 continue
-            if cs.idx + 1 >= len(code) or \
-                    code[cs.idx + 1].text != "(":
+            if cs.tok + 1 >= len(code) or \
+                    code[cs.tok + 1].text != "(":
                 continue
-            close = tlsa._match_forward(code, cs.idx + 1, "(", ")")
-            span = range(cs.idx + 2, close)
+            close = tlsa._match_forward(code, cs.tok + 1, "(", ")")
+            span = range(cs.tok + 2, close)
             # Names *declared* inside the task body are task-local:
             # `u64 h = 0; h += ...` is private accumulation.
             local = set()

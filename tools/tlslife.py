@@ -793,13 +793,13 @@ def check_p3(prog, man, report):
             for cs in fn.calls:
                 if cs.name not in EXECUTORS:
                     continue
-                if cs.idx + 1 >= len(code) or \
-                        code[cs.idx + 1].text != "(":
+                if cs.tok + 1 >= len(code) or \
+                        code[cs.tok + 1].text != "(":
                     continue
-                close = tlsa._match_forward(code, cs.idx + 1,
+                close = tlsa._match_forward(code, cs.tok + 1,
                                             "(", ")")
                 names = {code[m].text
-                         for m in range(cs.idx + 2, close)}
+                         for m in range(cs.tok + 2, close)}
                 caught = sorted(names & set(handles))
                 if caught:
                     report(Diagnostic(
@@ -880,13 +880,13 @@ def check_p4(prog, report):
             continue
         bind_names = {e[3] for e in events}
         for ci, cs in enumerate(fn.calls):
-            if cs.idx < lo or cs.idx >= hi:
+            if cs.tok < lo or cs.tok >= hi:
                 continue
             if cs.name in GROWERS and cs.recv:
                 if cs.name in RESERVED_SAFE and \
                         cs.recv in prog.reserved:
                     continue  # A3's reserve discipline holds here
-                events.append((cs.idx, 1, "grow", {cs.recv},
+                events.append((cs.tok, 1, "grow", {cs.recv},
                                f"`{cs.recv}.{cs.name}()`",
                                cs.line))
             else:
@@ -895,7 +895,7 @@ def check_p4(prog, report):
                         callee.cls == fn.cls:
                     g = trans[id(callee)]
                     if g:
-                        events.append((cs.idx, 1, "grow", set(g),
+                        events.append((cs.tok, 1, "grow", set(g),
                                        f"`{cs.name}()`", cs.line))
         for name, _, line2 in swap_growths(code, lo, hi):
             pass  # swap sites already feed `direct` above; a local
