@@ -18,10 +18,13 @@
  *    (DELIVERY OUTER more than 2x slower than BASELINE);
  *  - PAYMENT and ORDER STATUS do not improve (coverage-bound).
  *
- * Captures run serially up front (synthetic-PC assignment is
- * interning-order dependent); the (benchmark x bar) simulation points
- * then fan out across --jobs workers. Results land in index-assigned
- * slots, so the report is bit-identical for any job count.
+ * This program is the Figure 5 front end. Each benchmark is captured
+ * once (or reloaded from --trace-cache), serially up front, since
+ * synthetic-PC assignment is interning-order dependent. The
+ * (benchmark x bar) simulation points then fan out across --jobs
+ * workers, each through sim::runBar, which attaches the --audit
+ * auditor. Results land in index-assigned slots, so the report is
+ * bit-identical for any job count.
  */
 
 #include <cstdio>
@@ -52,7 +55,8 @@ main(int argc, char **argv)
     const auto &benches = tpcc::allBenchmarks();
     const std::vector<sim::Bar> &bars = sim::allBars();
 
-    // Serial capture phase (each benchmark exactly once).
+    // Serial capture phase (each benchmark exactly once, through the
+    // trace cache when --trace-cache is given).
     std::vector<sim::ExperimentConfig> cfgs;
     std::vector<sim::SharedTraces> traces;
     for (tpcc::TxnType type : benches) {

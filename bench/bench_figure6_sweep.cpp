@@ -27,9 +27,12 @@
  * place sub-thread start points at predicted exposed-load risk
  * records instead of fixed spacing (TlsConfig::riskPlacement).
  *
+ * This program is the Figure 6 front end. Each benchmark is captured
+ * once (or reloaded from --trace-cache) in a serial capture phase.
  * All (benchmark x {sequential reference, sweep point}) simulation
- * points fan out across --jobs workers after a serial capture phase;
- * results fill index-assigned slots, so the report is bit-identical
+ * points then fan out across --jobs workers, through sim::runBar and
+ * sim::runSweepPoint, so --audit reaches every simulated point.
+ * Results fill index-assigned slots, so the report is bit-identical
  * for any job count.
  */
 
@@ -72,7 +75,8 @@ main(int argc, char **argv)
         tpcc::TxnType::StockLevel,
     };
 
-    // Serial capture phase.
+    // Serial capture phase (each benchmark exactly once, through the
+    // trace cache when --trace-cache is given).
     std::vector<sim::ExperimentConfig> cfgs;
     std::vector<sim::SharedTraces> traces;
     for (tpcc::TxnType type : sweep_benchmarks) {
@@ -164,13 +168,7 @@ main(int argc, char **argv)
         points[b][j].spacing = s;
         if (!simulate[b][j])
             return; // pruned: filled from the prediction below
-        MachineConfig mc = cfgs[b].machine;
-        mc.tls.subthreadsPerThread = k;
-        mc.tls.subthreadSpacing = s;
-        TlsMachine m(mc);
-        points[b][j].run = m.run(traces[b]->tls, ExecMode::Tls,
-                                 cfgs[b].warmupTxns,
-                                 traces[b]->tlsIndex.get());
+        points[b][j].run = sim::runSweepPoint(k, s, *traces[b], cfgs[b]);
     });
 
     const std::uint64_t sweep_builds =

@@ -5,7 +5,7 @@
  *  - strict argument parsing (--quick, --txns=N, --jobs=N,
  *    --json=FILE, --trace-cache=DIR); unknown flags are an error so CI
  *    typos fail loudly instead of silently running the default;
- *  - per-benchmark capture sizing;
+ *  - the per-benchmark experiment configuration;
  *  - a machine-readable result reporter emitting the "tlsim-bench-v1"
  *    JSON schema (validated by tools/check_bench_json.py).
  */
@@ -188,45 +188,15 @@ capture(tpcc::TxnType type, const sim::ExperimentConfig &cfg,
 }
 
 /**
- * Experiment configuration for one benchmark. Large-thread benchmarks
- * (NEW ORDER 150, DELIVERY OUTER) capture fewer transactions since a
- * single transaction already provides hundreds of thousands of
- * instructions of parallel work.
+ * Experiment configuration for one benchmark: the paper preset
+ * (sim::ExperimentConfig::paper) sized by --quick/--txns, plus the
+ * machine flags.
  */
 inline sim::ExperimentConfig
 configFor(tpcc::TxnType type, const BenchArgs &args)
 {
-    sim::ExperimentConfig cfg;
-    if (args.quick) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-    } else {
-        // Full single-warehouse TPC-C, as in the paper.
-        cfg.scale = tpcc::TpccConfig{};
-    }
-
-    switch (type) {
-      case tpcc::TxnType::NewOrder150:
-        cfg.txns = 6;
-        cfg.warmupTxns = 1;
-        break;
-      case tpcc::TxnType::DeliveryOuter:
-      case tpcc::TxnType::Delivery:
-        cfg.txns = 8;
-        cfg.warmupTxns = 2;
-        break;
-      default:
-        cfg.txns = 12;
-        cfg.warmupTxns = 2;
-        break;
-    }
-    if (args.txns) {
-        cfg.txns = args.txns;
-        cfg.warmupTxns = args.txns > 4 ? 2 : 1;
-    }
+    sim::ExperimentConfig cfg =
+        sim::ExperimentConfig::paper(type, args.quick, args.txns);
     cfg.machine.tls.useConflictOracle = !args.noTraceIndex;
     cfg.machine.tls.auditLevel = parseAuditLevel(args.audit);
     cfg.machine.tls.riskPlacement = args.placement == "risk";

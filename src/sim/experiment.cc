@@ -1,7 +1,6 @@
 #include "sim/experiment.h"
 
 #include "base/log.h"
-#include "sim/executor.h"
 #include "verify/auditor.h"
 
 namespace tlsim {
@@ -28,6 +27,39 @@ allBars()
         Bar::NoSpeculation,
     };
     return v;
+}
+
+ExperimentConfig
+ExperimentConfig::paper(tpcc::TxnType type, bool quick, unsigned txns)
+{
+    ExperimentConfig cfg;
+    if (quick) {
+        cfg.scale = tpcc::TpccConfig::tiny();
+        cfg.scale.items = 2000;
+        cfg.scale.customersPerDistrict = 150;
+        cfg.scale.ordersPerDistrict = 150;
+        cfg.scale.firstNewOrder = 76;
+    }
+    switch (type) {
+      case tpcc::TxnType::NewOrder150:
+        cfg.txns = 6;
+        cfg.warmupTxns = 1;
+        break;
+      case tpcc::TxnType::DeliveryOuter:
+      case tpcc::TxnType::Delivery:
+        cfg.txns = 8;
+        cfg.warmupTxns = 2;
+        break;
+      default:
+        cfg.txns = 12;
+        cfg.warmupTxns = 2;
+        break;
+    }
+    if (txns) {
+        cfg.txns = txns;
+        cfg.warmupTxns = txns > 4 ? 2 : 1;
+    }
+    return cfg;
 }
 
 ExperimentConfig
@@ -111,6 +143,18 @@ runBar(Bar bar, const BenchmarkTraces &traces,
     panic("unknown bar");
 }
 
+RunResult
+runSweepPoint(unsigned subthreads, std::uint64_t spacing,
+              const BenchmarkTraces &traces, const ExperimentConfig &cfg)
+{
+    MachineConfig mc = cfg.machine;
+    mc.tls.subthreadsPerThread = subthreads;
+    mc.tls.subthreadSpacing = spacing;
+    TlsMachine m(mc);
+    return verify::runWithAudit(m, traces.tls, ExecMode::Tls,
+                                cfg.warmupTxns, traces.tlsIndex.get());
+}
+
 const RunResult &
 Figure5Row::result(Bar b) const
 {
@@ -126,89 +170,6 @@ Figure5Row::speedup(Bar b) const
     return result(b).speedupVs(result(Bar::Sequential));
 }
 
-Figure5Row
-runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    Figure5Row row;
-    row.type = type;
-    for (Bar b : allBars())
-        row.bars.emplace_back(b, runBar(b, traces, cfg));
-    return row;
-}
-
-Figure5Row
-runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const BenchmarkTraces &traces, SimExecutor &ex)
-{
-    const std::vector<Bar> &bars = allBars();
-    std::vector<RunResult> results(bars.size());
-    ex.parallelFor(bars.size(), [&](std::size_t i) {
-        results[i] = runBar(bars[i], traces, cfg);
-    });
-    Figure5Row row;
-    row.type = type;
-    for (std::size_t i = 0; i < bars.size(); ++i)
-        row.bars.emplace_back(bars[i], std::move(results[i]));
-    return row;
-}
-
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings,
-           const BenchmarkTraces &traces, SimExecutor &ex)
-{
-    (void)type;
-    std::vector<SweepPoint> out(counts.size() * spacings.size());
-    ex.parallelFor(out.size(), [&](std::size_t i) {
-        unsigned k = counts[i / spacings.size()];
-        std::uint64_t s = spacings[i % spacings.size()];
-        MachineConfig mc = cfg.machine;
-        mc.tls.subthreadsPerThread = k;
-        mc.tls.subthreadSpacing = s;
-        TlsMachine m(mc);
-        out[i] = {k, s,
-                  verify::runWithAudit(m, traces.tls, ExecMode::Tls,
-                                       cfg.warmupTxns,
-                                       traces.tlsIndex.get())};
-    });
-    return out;
-}
-
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    std::vector<SweepPoint> out;
-    for (unsigned k : counts) {
-        for (std::uint64_t s : spacings) {
-            MachineConfig mc = cfg.machine;
-            mc.tls.subthreadsPerThread = k;
-            mc.tls.subthreadSpacing = s;
-            TlsMachine m(mc);
-            out.push_back(
-                {k, s,
-                 verify::runWithAudit(m, traces.tls, ExecMode::Tls,
-                                      cfg.warmupTxns,
-                                      traces.tlsIndex.get())});
-        }
-    }
-    return out;
-}
-
-Table2Row
-table2Row(tpcc::TxnType type, const ExperimentConfig &cfg)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    return table2Row(type, cfg, traces);
-}
-
 Table2Row
 table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
           const BenchmarkTraces &traces)
@@ -216,11 +177,7 @@ table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
     Table2Row row{};
     row.type = type;
 
-    TlsMachine m(cfg.machine);
-    RunResult seq =
-        verify::runWithAudit(m, traces.original, ExecMode::Serial,
-                             cfg.warmupTxns,
-                             traces.originalIndex.get());
+    RunResult seq = runBar(Bar::Sequential, traces, cfg);
     row.execMcycles = static_cast<double>(seq.makespan) / 1e6;
 
     // Workload statistics over the measured transactions of the TLS

@@ -1,21 +1,26 @@
 /**
  * @file
  * Experiment harness: glues the TPC-C capture driver to the TLS
- * machine and reproduces the paper's evaluation artifacts —
+ * machine. Capture a benchmark once, then run the simulation points
+ * of the paper's evaluation artifacts over the shared traces —
  *
  *  - Figure 5: the five bars (SEQUENTIAL, TLS-SEQ, NO SUB-THREAD,
- *    BASELINE, NO SPECULATION) per benchmark, with normalized cycle
- *    breakdowns;
- *  - Figure 6: the sub-thread count x spacing sweep;
+ *    BASELINE, NO SPECULATION) per benchmark, one runBar() each;
+ *  - Figure 6: the sub-thread count x spacing sweep, one
+ *    runSweepPoint() each;
  *  - Table 2: benchmark statistics from the captured traces and the
  *    sequential run.
+ *
+ * runBar() and runSweepPoint() are the only places an artifact runs a
+ * machine; both attach the runtime auditor at the configured level.
+ * The bench/ mains drive them across benchmarks and --jobs workers.
  */
 
 #ifndef SIM_EXPERIMENT_H
 #define SIM_EXPERIMENT_H
 
+#include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "base/config.h"
@@ -25,8 +30,6 @@
 
 namespace tlsim {
 namespace sim {
-
-class SimExecutor;
 
 /** The Figure 5 configurations. */
 enum class Bar {
@@ -72,6 +75,17 @@ struct ExperimentConfig
     std::uint64_t loadSeed = 7;
     MachineConfig machine;    ///< baseline machine (Table 1)
 
+    /**
+     * The preset of the published figures: full single-warehouse
+     * TPC-C, or with `quick` a reduced scale for CI. The large-thread
+     * benchmarks (NEW ORDER 150, the DELIVERY variants) capture fewer
+     * transactions, since one transaction already provides hundreds
+     * of thousands of instructions of parallel work. `txns` != 0
+     * overrides the per-benchmark count (and sizes the warm-up to it).
+     */
+    static ExperimentConfig paper(tpcc::TxnType type, bool quick,
+                                  unsigned txns = 0);
+
     /** A scaled-down preset for tests. */
     static ExperimentConfig testPreset();
 };
@@ -84,6 +98,15 @@ BenchmarkTraces captureTraces(tpcc::TxnType type,
 RunResult runBar(Bar bar, const BenchmarkTraces &traces,
                  const ExperimentConfig &cfg);
 
+/**
+ * Run one Figure 6 point over previously captured traces: the BASELINE
+ * machine with `subthreads` contexts spaced `spacing` instructions
+ * apart. The Figure 6 twin of runBar().
+ */
+RunResult runSweepPoint(unsigned subthreads, std::uint64_t spacing,
+                        const BenchmarkTraces &traces,
+                        const ExperimentConfig &cfg);
+
 /** One benchmark's Figure 5 column set. */
 struct Figure5Row
 {
@@ -95,16 +118,6 @@ struct Figure5Row
     double speedup(Bar b) const;
 };
 
-Figure5Row runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg);
-
-/**
- * Parallel variant over previously captured traces: the five bars fan
- * out across `ex`. Bit-identical to the serial runFigure5 (each bar is
- * an independent, self-contained machine run).
- */
-Figure5Row runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg,
-                      const BenchmarkTraces &traces, SimExecutor &ex);
-
 /** Figure 6: one (sub-thread count, spacing) measurement. */
 struct SweepPoint
 {
@@ -112,23 +125,6 @@ struct SweepPoint
     std::uint64_t spacing;
     RunResult run;
 };
-
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings);
-
-/**
- * Parallel variant over previously captured traces: all
- * (count, spacing) points fan out across `ex`. Results are placed by
- * index, so the output vector is bit-identical to the serial sweep no
- * matter how the points are scheduled.
- */
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings,
-           const BenchmarkTraces &traces, SimExecutor &ex);
 
 /** Table 2: per-benchmark workload statistics. */
 struct Table2Row
@@ -142,9 +138,7 @@ struct Table2Row
     std::uint64_t epochs;
 };
 
-Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg);
-
-/** Table 2 over previously captured traces (no re-capture). */
+/** Table 2 over previously captured traces. */
 Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
                     const BenchmarkTraces &traces);
 

@@ -27,6 +27,18 @@ txnTypeName(TxnType t)
     return "?";
 }
 
+std::optional<TxnType>
+txnTypeByName(const std::string &name)
+{
+    for (TxnType t : allBenchmarks()) {
+        std::string n = txnTypeName(t);
+        std::replace(n.begin(), n.end(), ' ', '_');
+        if (n == name)
+            return t;
+    }
+    return std::nullopt;
+}
+
 const std::vector<TxnType> &
 allBenchmarks()
 {

@@ -16,6 +16,7 @@
 #define TPCC_TPCC_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,9 @@ enum class TxnType {
 };
 
 const char *txnTypeName(TxnType t);
+/** The inverse of txnTypeName, with '_' for each space
+ *  ("NEW_ORDER_150"); nullopt for an unknown name. */
+std::optional<TxnType> txnTypeByName(const std::string &name);
 const std::vector<TxnType> &allBenchmarks();
 
 /** The TPC-C database and transaction implementations. */

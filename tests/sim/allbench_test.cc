@@ -13,8 +13,10 @@ namespace tlsim {
 namespace sim {
 namespace {
 
-ExperimentConfig
-cfg()
+/** Capture `type` once at test scale and run the five Figure-5 bars
+ *  over the shared traces. */
+Figure5Row
+figure5(tpcc::TxnType type)
 {
     ExperimentConfig c = ExperimentConfig::testPreset();
     c.scale.items = 1200;
@@ -23,7 +25,12 @@ cfg()
     c.scale.firstNewOrder = 41;
     c.txns = 5;
     c.warmupTxns = 1;
-    return c;
+    BenchmarkTraces traces = captureTraces(type, c);
+    traces.buildIndexes(c.machine.mem.lineBytes);
+    Figure5Row row{type, {}};
+    for (Bar b : allBars())
+        row.bars.emplace_back(b, runBar(b, traces, c));
+    return row;
 }
 
 class AllBenchmarks
@@ -33,7 +40,7 @@ class AllBenchmarks
 
 TEST_P(AllBenchmarks, Figure5InvariantsHold)
 {
-    Figure5Row row = runFigure5(GetParam(), cfg());
+    Figure5Row row = figure5(GetParam());
 
     const RunResult &seq = row.result(Bar::Sequential);
     EXPECT_EQ(seq.primaryViolations, 0u);
@@ -74,14 +81,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CrossBenchmark, CoverageBoundTransactionsStayFlat)
 {
     // PAYMENT's coverage is ~1-3%: Amdahl forbids speedup.
-    Figure5Row payment = runFigure5(tpcc::TxnType::Payment, cfg());
+    Figure5Row payment = figure5(tpcc::TxnType::Payment);
     EXPECT_LT(payment.speedup(Bar::Baseline), 1.15);
     EXPECT_LT(payment.speedup(Bar::NoSpeculation), 1.15);
 }
 
 TEST(CrossBenchmark, NewOrderBenefitsSubstantially)
 {
-    Figure5Row row = runFigure5(tpcc::TxnType::NewOrder, cfg());
+    Figure5Row row = figure5(tpcc::TxnType::NewOrder);
     EXPECT_GT(row.speedup(Bar::Baseline), 1.5);
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * SimExecutor unit tests plus the parallel-determinism regression: a
- * runFigure6 sweep with --jobs=8 must produce bit-identical RunResults
- * (makespan and the full cycle breakdown) to the serial path.
+ * Figure 6 sweep (runSweepPoint per point) or a Figure 5 bar set
+ * (runBar per bar) fanned across 8 workers must produce bit-identical
+ * RunResults (makespan and the full cycle breakdown) to the serial
+ * path.
  */
 
 #include <gtest/gtest.h>
@@ -353,23 +355,27 @@ TEST_P(ParallelDeterminism, Figure6ParallelMatchesSerial)
 
     BenchmarkTraces traces = captureTraces(type, cfg);
 
+    // Each point fills its index-assigned slot, as the bench does.
+    auto sweep = [&](SimExecutor &ex) {
+        std::vector<RunResult> out(counts.size() * spacings.size());
+        ex.parallelFor(out.size(), [&](std::size_t i) {
+            out[i] = runSweepPoint(counts[i / spacings.size()],
+                                   spacings[i % spacings.size()], traces,
+                                   cfg);
+        });
+        return out;
+    };
+
     // jobs == 1 runs the sweep inline in index order: the serial path.
     SimExecutor serial_ex(1);
-    std::vector<SweepPoint> serial =
-        runFigure6(type, cfg, counts, spacings, traces, serial_ex);
+    std::vector<RunResult> serial = sweep(serial_ex);
 
     SimExecutor ex(8);
-    std::vector<SweepPoint> parallel =
-        runFigure6(type, cfg, counts, spacings, traces, ex);
+    std::vector<RunResult> parallel = sweep(ex);
 
-    ASSERT_EQ(serial.size(), counts.size() * spacings.size());
     ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].subthreads, parallel[i].subthreads);
-        EXPECT_EQ(serial[i].spacing, parallel[i].spacing);
-        expectRunEq(serial[i].run, parallel[i].run,
-                    tpcc::txnTypeName(type));
-    }
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectRunEq(serial[i], parallel[i], tpcc::txnTypeName(type));
 }
 
 TEST_P(ParallelDeterminism, Figure5ParallelMatchesSerial)
@@ -380,19 +386,20 @@ TEST_P(ParallelDeterminism, Figure5ParallelMatchesSerial)
     BenchmarkTraces traces = captureTraces(type, cfg);
 
     // Serial reference: the plain bar-by-bar loop, no executor at all.
-    std::vector<std::pair<Bar, RunResult>> serial;
-    for (Bar bar : allBars())
-        serial.emplace_back(bar, runBar(bar, traces, cfg));
+    const std::vector<Bar> &bars = allBars();
+    std::vector<RunResult> serial;
+    for (Bar bar : bars)
+        serial.push_back(runBar(bar, traces, cfg));
 
+    std::vector<RunResult> parallel(bars.size());
     SimExecutor ex(8);
-    Figure5Row parallel = runFigure5(type, cfg, traces, ex);
+    ex.parallelFor(bars.size(), [&](std::size_t i) {
+        parallel[i] = runBar(bars[i], traces, cfg);
+    });
 
-    ASSERT_EQ(serial.size(), parallel.bars.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].first, parallel.bars[i].first);
-        expectRunEq(serial[i].second, parallel.bars[i].second,
-                    barName(serial[i].first));
-    }
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectRunEq(serial[i], parallel[i], barName(bars[i]));
 }
 
 INSTANTIATE_TEST_SUITE_P(Benchmarks, ParallelDeterminism,

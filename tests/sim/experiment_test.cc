@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "sim/experiment.h"
@@ -22,13 +23,27 @@ smallCfg()
     return cfg;
 }
 
+/** NEW ORDER's traces under `cfg`, captured once and indexed (heap-held
+ *  so the indexes stay bound to the traces they describe). */
+std::unique_ptr<BenchmarkTraces>
+captureNewOrder(const ExperimentConfig &cfg)
+{
+    auto traces = std::make_unique<BenchmarkTraces>(
+        captureTraces(tpcc::TxnType::NewOrder, cfg));
+    traces->buildIndexes(cfg.machine.mem.lineBytes);
+    return traces;
+}
+
 struct Figure5Fixture : public ::testing::Test
 {
     static void
     SetUpTestSuite()
     {
-        row = new Figure5Row(
-            runFigure5(tpcc::TxnType::NewOrder, smallCfg()));
+        const ExperimentConfig cfg = smallCfg();
+        std::unique_ptr<BenchmarkTraces> traces = captureNewOrder(cfg);
+        row = new Figure5Row{tpcc::TxnType::NewOrder, {}};
+        for (Bar b : allBars())
+            row->bars.emplace_back(b, runBar(b, *traces, cfg));
     }
 
     static void
@@ -113,7 +128,8 @@ TEST_F(Figure5Fixture, ReportRendersAllBars)
 TEST(Table2, RowLooksLikeTheWorkload)
 {
     ExperimentConfig cfg = smallCfg();
-    Table2Row row = table2Row(tpcc::TxnType::NewOrder, cfg);
+    Table2Row row =
+        table2Row(tpcc::TxnType::NewOrder, cfg, *captureNewOrder(cfg));
     EXPECT_GT(row.execMcycles, 0.0);
     EXPECT_GT(row.coverage, 0.4);
     EXPECT_LT(row.coverage, 1.0);
@@ -131,8 +147,11 @@ TEST(Figure6, SweepRunsAllPoints)
 {
     ExperimentConfig cfg = smallCfg();
     cfg.txns = 4;
-    auto points = runFigure6(tpcc::TxnType::NewOrder, cfg, {2, 8},
-                             {1000, 5000});
+    std::unique_ptr<BenchmarkTraces> traces = captureNewOrder(cfg);
+    std::vector<SweepPoint> points;
+    for (unsigned k : {2u, 8u})
+        for (std::uint64_t s : {1000u, 5000u})
+            points.push_back({k, s, runSweepPoint(k, s, *traces, cfg)});
     ASSERT_EQ(points.size(), 4u);
     for (const auto &p : points) {
         EXPECT_GT(p.run.makespan, 0u);
@@ -149,12 +168,28 @@ TEST(Figure6, MoreSubthreadsNeverMuchWorse)
     // Paper Section 5.1: adding sub-threads does not hurt.
     ExperimentConfig cfg = smallCfg();
     cfg.txns = 4;
-    auto points = runFigure6(tpcc::TxnType::NewOrder, cfg, {2, 8},
-                             {2000});
-    ASSERT_EQ(points.size(), 2u);
-    double t2 = static_cast<double>(points[0].run.makespan);
-    double t8 = static_cast<double>(points[1].run.makespan);
+    std::unique_ptr<BenchmarkTraces> traces = captureNewOrder(cfg);
+    double t2 = static_cast<double>(
+        runSweepPoint(2, 2000, *traces, cfg).makespan);
+    double t8 = static_cast<double>(
+        runSweepPoint(8, 2000, *traces, cfg).makespan);
     EXPECT_LT(t8, t2 * 1.10);
+}
+
+TEST(Figure6, SweepPointIsAudited)
+{
+    // The runtime auditor must reach every sweep point, and attaching
+    // it must not change the simulation.
+    ExperimentConfig cfg = smallCfg();
+    cfg.txns = 4;
+    std::unique_ptr<BenchmarkTraces> traces = captureNewOrder(cfg);
+    RunResult off = runSweepPoint(8, 5000, *traces, cfg);
+    cfg.machine.tls.auditLevel = AuditLevel::Full;
+    RunResult full = runSweepPoint(8, 5000, *traces, cfg);
+    EXPECT_EQ(off.auditChecks, 0u);
+    EXPECT_GT(full.auditChecks, 0u);
+    EXPECT_EQ(full.makespan, off.makespan);
+    EXPECT_EQ(full.primaryViolations, off.primaryViolations);
 }
 
 TEST(Bars, NamesAreStable)

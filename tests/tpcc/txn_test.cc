@@ -227,6 +227,22 @@ TEST_F(TxnFixture, MixedStreamKeepsConsistency)
         db.table(static_cast<db::TableId>(t)).checkInvariants();
 }
 
+TEST(TxnTypeByName, RoundTripsEveryBenchmarkAndRejectsUnknown)
+{
+    for (TxnType t : allBenchmarks()) {
+        std::string name = txnTypeName(t);
+        for (char &c : name)
+            if (c == ' ')
+                c = '_';
+        EXPECT_EQ(txnTypeByName(name), t) << name;
+    }
+    EXPECT_EQ(allBenchmarks().size(), 7u);
+    EXPECT_EQ(txnTypeByName("NEW_ORDER_150"), TxnType::NewOrder150);
+    EXPECT_FALSE(txnTypeByName("NEW ORDER").has_value());
+    EXPECT_FALSE(txnTypeByName("NEW_ORDERS").has_value());
+    EXPECT_FALSE(txnTypeByName("").has_value());
+}
+
 } // namespace
 } // namespace tpcc
 } // namespace tlsim

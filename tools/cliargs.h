@@ -5,6 +5,8 @@
  * does not know, and every numeric flag whose value is not a
  * non-negative integer, is a fatal() error: a typo such as
  * `--subthread=4` must not silently run the default configuration.
+ * Both drivers read --benchmark, --quick and --txns the same way: the
+ * paper preset the bench/ mains use (sim::ExperimentConfig::paper).
  */
 
 #ifndef TOOLS_CLIARGS_H
@@ -14,9 +16,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "base/log.h"
+#include "sim/experiment.h"
+#include "tpcc/tpcc.h"
 
 namespace tlsim {
 
@@ -79,6 +84,24 @@ struct CliArgs
             fatal("--%s expects a non-negative integer, got '%s'",
                   k.c_str(), v.c_str());
         return out;
+    }
+
+    /** --benchmark as a TPC-C benchmark; fatal() on an unknown name. */
+    tpcc::TxnType
+    benchmark() const
+    {
+        const std::string name = str("benchmark");
+        if (std::optional<tpcc::TxnType> t = tpcc::txnTypeByName(name))
+            return *t;
+        fatal("unknown benchmark '%s'", name.c_str());
+    }
+
+    /** The paper preset for `type`, sized by --quick and --txns. */
+    sim::ExperimentConfig
+    paperConfig(tpcc::TxnType type) const
+    {
+        return sim::ExperimentConfig::paper(
+            type, has("quick"), static_cast<unsigned>(num("txns", 0)));
     }
 };
 

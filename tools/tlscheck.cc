@@ -20,7 +20,9 @@
  * order serializable, violation bookkeeping consistent, and every
  * violated line independently proven a RAW candidate. --audit
  * additionally attaches the runtime invariant auditor to the
- * simulation.
+ * simulation. The traces are sized by the paper preset the bench/
+ * mains use, so `--quick --txns=N` shares their trace-cache entries;
+ * --warmup overrides the preset's warm-up.
  *
  * A flag the mode does not read, or a non-numeric value for a numeric
  * flag, is a fatal error.
@@ -105,36 +107,14 @@ checkTraceFile(const CliArgs &a)
     return report("index diff", verify::diffAgainstIndex(chk, idx, w));
 }
 
-tpcc::TxnType
-benchmarkByName(const std::string &name)
-{
-    std::string spaced = name;
-    for (char &c : spaced)
-        if (c == '_')
-            c = ' ';
-    for (tpcc::TxnType t : tpcc::allBenchmarks())
-        if (spaced == tpcc::txnTypeName(t))
-            return t;
-    fatal("unknown benchmark '%s'", name.c_str());
-}
-
 int
 checkBenchmark(const CliArgs &a)
 {
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
+    tpcc::TxnType type = a.benchmark();
 
-    sim::ExperimentConfig cfg;
-    if (a.has("quick")) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-        cfg.txns = 8;
-    }
-    cfg.txns = static_cast<unsigned>(a.num("txns", cfg.txns));
-    cfg.warmupTxns = static_cast<unsigned>(
-        a.num("warmup", std::min(2u, cfg.txns / 2)));
+    sim::ExperimentConfig cfg = a.paperConfig(type);
+    cfg.warmupTxns =
+        static_cast<unsigned>(a.num("warmup", cfg.warmupTxns));
     cfg.machine.tls.auditLevel =
         parseAuditLevel(a.str("audit", "off"));
 

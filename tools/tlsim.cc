@@ -1,21 +1,20 @@
 /**
  * @file
- * tlsim — command-line driver for the sub-threads TLS simulator.
+ * tlsim — command-line trace tools for the sub-threads TLS simulator.
  *
  *   tlsim capture  --benchmark=NEW_ORDER --out=no.trace [options]
  *   tlsim info     --trace=no.trace
  *   tlsim replay   --trace=no.trace [machine options]
- *   tlsim figure5  --benchmark=NEW_ORDER [options]
- *   tlsim figure6  --benchmark=NEW_ORDER [options]
- *   tlsim table2   [options]
- *   tlsim bench    --artifact=figure5|figure6|table2 [options]
  *
- * Common options:
+ * The paper's artifacts (Figure 5, Figure 6, Table 2) come from the
+ * bench/ mains: bench_figure5_overall, bench_figure6_sweep and
+ * bench_table2_stats.
+ *
+ * Capture options:
  *   --quick            reduced TPC-C scale
- *   --txns=N           transactions to capture
+ *   --txns=N           transactions to capture (default: the paper
+ *                      preset's per-benchmark count)
  *   --original         capture the untuned, unparallelized build
- *   --jobs=N           parallel simulation points (0 = all cores)
- *   --trace-cache=DIR  reuse on-disk trace snapshots across runs
  * Machine options (replay):
  *   --mode=tls|serial|nospec   execution mode (default tls)
  *   --subthreads=K --spacing=N --cpus=N --adaptive
@@ -31,19 +30,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "base/log.h"
 #include "core/machine.h"
 #include "core/resulthash.h"
-#include "sim/executor.h"
-#include "sim/experiment.h"
-#include "sim/report.h"
-#include "sim/tracecache.h"
 #include "sim/traceio.h"
 #include "tpcc/tpcc.h"
 #include "verify/auditor.h"
@@ -53,47 +45,6 @@
 using namespace tlsim;
 
 namespace {
-
-tpcc::TxnType
-benchmarkByName(const std::string &name)
-{
-    static const std::map<std::string, tpcc::TxnType> names = {
-        {"NEW_ORDER", tpcc::TxnType::NewOrder},
-        {"NEW_ORDER_150", tpcc::TxnType::NewOrder150},
-        {"DELIVERY", tpcc::TxnType::Delivery},
-        {"DELIVERY_OUTER", tpcc::TxnType::DeliveryOuter},
-        {"STOCK_LEVEL", tpcc::TxnType::StockLevel},
-        {"PAYMENT", tpcc::TxnType::Payment},
-        {"ORDER_STATUS", tpcc::TxnType::OrderStatus},
-    };
-    auto it = names.find(name);
-    if (it == names.end()) {
-        std::string known;
-        for (const auto &[n, t] : names)
-            known += n + " ";
-        fatal("unknown benchmark '%s' (known: %s)", name.c_str(),
-              known.c_str());
-    }
-    return it->second;
-}
-
-sim::ExperimentConfig
-experimentConfig(const CliArgs &a)
-{
-    sim::ExperimentConfig cfg;
-    if (a.has("quick")) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-        cfg.txns = 8;
-    }
-    cfg.txns = static_cast<unsigned>(a.num("txns", cfg.txns));
-    cfg.warmupTxns = static_cast<unsigned>(
-        a.num("warmup", std::min(2u, cfg.txns / 2)));
-    return cfg;
-}
 
 MachineConfig
 machineConfig(const CliArgs &a)
@@ -183,8 +134,8 @@ printRun(const RunResult &r)
 int
 cmdCapture(const CliArgs &a)
 {
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
+    tpcc::TxnType type = a.benchmark();
+    sim::ExperimentConfig cfg = a.paperConfig(type);
 
     tpcc::CaptureOptions opts;
     opts.scale = cfg.scale;
@@ -257,146 +208,7 @@ cmdReplay(const CliArgs &a)
     return 0;
 }
 
-/** Executor sized from --jobs (default 1; 0 = one per core). */
-sim::SimExecutor
-executorOf(const CliArgs &a)
-{
-    return sim::SimExecutor(static_cast<unsigned>(a.num("jobs", 1)));
-}
-
-int
-cmdFigure5(const CliArgs &a)
-{
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-    sim::SharedTraces traces =
-        sim::captureTracesShared(type, cfg, a.str("trace-cache"));
-    sim::SimExecutor ex = executorOf(a);
-    sim::Figure5Row row = sim::runFigure5(type, cfg, *traces, ex);
-    sim::printFigure5Row(std::cout, row);
-    return 0;
-}
-
-int
-cmdFigure6(const CliArgs &a)
-{
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-
-    const std::vector<unsigned> counts = {2, 4, 8};
-    const std::vector<std::uint64_t> spacings = {1000,  2500,  5000,
-                                                 10000, 25000, 50000};
-
-    sim::SharedTraces traces =
-        sim::captureTracesShared(type, cfg, a.str("trace-cache"));
-    sim::SimExecutor ex = executorOf(a);
-    RunResult seq = sim::runBar(sim::Bar::Sequential, *traces, cfg);
-    std::vector<sim::SweepPoint> points =
-        sim::runFigure6(type, cfg, counts, spacings, *traces, ex);
-    sim::printFigure6(std::cout, tpcc::txnTypeName(type), points,
-                      seq.makespan);
-    return 0;
-}
-
-int
-cmdTable2(const CliArgs &a)
-{
-    const auto &benches = tpcc::allBenchmarks();
-    std::vector<sim::ExperimentConfig> cfgs;
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : benches) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
-        cfgs.push_back(experimentConfig(a));
-        traces.push_back(sim::captureTracesShared(
-            type, cfgs.back(), a.str("trace-cache")));
-    }
-    sim::SimExecutor ex = executorOf(a);
-    std::vector<sim::Table2Row> rows(benches.size());
-    ex.parallelFor(benches.size(), [&](std::size_t i) {
-        rows[i] = sim::table2Row(benches[i], cfgs[i], *traces[i]);
-    });
-    sim::printTable2(std::cout, rows);
-    return 0;
-}
-
-/**
- * `tlsim bench`: run a full paper artifact (default figure5) across
- * all benchmarks, fanning the simulation points over --jobs workers
- * and reusing --trace-cache snapshots. --benchmark=NAME restricts the
- * run to one benchmark.
- */
-int
-cmdBench(const CliArgs &a)
-{
-    std::string artifact = a.str("artifact", "figure5");
-    if (artifact == "table2")
-        return cmdTable2(a);
-    if (artifact != "figure5" && artifact != "figure6")
-        fatal("unknown artifact '%s' (figure5|figure6|table2)",
-              artifact.c_str());
-
-    std::vector<tpcc::TxnType> benches;
-    if (a.has("benchmark")) {
-        benches.push_back(benchmarkByName(a.str("benchmark")));
-    } else if (artifact == "figure6") {
-        benches = {tpcc::TxnType::NewOrder, tpcc::TxnType::NewOrder150,
-                   tpcc::TxnType::Delivery,
-                   tpcc::TxnType::DeliveryOuter,
-                   tpcc::TxnType::StockLevel};
-    } else {
-        benches = tpcc::allBenchmarks();
-    }
-
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-
-    // Serial capture phase, then parallel simulation per benchmark.
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : benches) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
-        traces.push_back(sim::captureTracesShared(
-            type, cfg, a.str("trace-cache")));
-    }
-
-    sim::SimExecutor ex = executorOf(a);
-    if (artifact == "figure5") {
-        std::vector<sim::Figure5Row> rows;
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            rows.push_back(
-                sim::runFigure5(benches[b], cfg, *traces[b], ex));
-            sim::printFigure5Row(std::cout, rows.back());
-        }
-        if (!a.has("benchmark"))
-            sim::printSpeedupSummary(std::cout, rows);
-        return 0;
-    }
-
-    const std::vector<unsigned> counts = {2, 4, 8};
-    const std::vector<std::uint64_t> spacings = {1000,  2500,  5000,
-                                                 10000, 25000, 50000};
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        RunResult seq =
-            sim::runBar(sim::Bar::Sequential, *traces[b], cfg);
-        std::vector<sim::SweepPoint> points = sim::runFigure6(
-            benches[b], cfg, counts, spacings, *traces[b], ex);
-        sim::printFigure6(std::cout, tpcc::txnTypeName(benches[b]),
-                          points, seq.makespan);
-    }
-    return 0;
-}
-
 } // namespace
-
-// The flags each subcommand reads: experimentConfig() and
-// machineConfig() options, then the subcommand's own.
-#define TLSIM_EXPERIMENT_FLAGS "quick", "txns", "warmup"
-#define TLSIM_MACHINE_FLAGS                                              \
-    "subthreads", "spacing", "cpus", "adaptive", "no-start-table",       \
-        "no-victim", "lazy-updates", "audit"
 
 int
 main(int argc, char **argv)
@@ -407,7 +219,7 @@ main(int argc, char **argv)
     const std::string cmd = argc >= 2 ? argv[1] : "";
     const char *name = cmd.c_str();
     if (cmd == "capture") {
-        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, "benchmark", "out",
+        a.allowOnly(name, {"benchmark", "quick", "txns", "out",
                            "original"});
         return cmdCapture(a);
     }
@@ -416,28 +228,15 @@ main(int argc, char **argv)
         return cmdInfo(a);
     }
     if (cmd == "replay") {
-        a.allowOnly(name, {TLSIM_MACHINE_FLAGS, "trace", "mode",
-                           "warmup", "det-probe", "profile", "stats"});
+        a.allowOnly(name, {"subthreads", "spacing", "cpus", "adaptive",
+                           "no-start-table", "no-victim", "lazy-updates",
+                           "audit", "trace", "mode", "warmup",
+                           "det-probe", "profile", "stats"});
         return cmdReplay(a);
     }
-    if (cmd == "figure5" || cmd == "figure6") {
-        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, TLSIM_MACHINE_FLAGS,
-                           "benchmark", "trace-cache", "jobs"});
-        return cmd == "figure5" ? cmdFigure5(a) : cmdFigure6(a);
-    }
-    if (cmd == "table2") {
-        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, "trace-cache", "jobs"});
-        return cmdTable2(a);
-    }
-    if (cmd == "bench") {
-        a.allowOnly(name, {TLSIM_EXPERIMENT_FLAGS, TLSIM_MACHINE_FLAGS,
-                           "artifact", "benchmark", "trace-cache",
-                           "jobs"});
-        return cmdBench(a);
-    }
     std::fprintf(stderr,
-                 "usage: tlsim "
-                 "<capture|info|replay|figure5|figure6|table2|bench> "
-                 "[--key=value ...]\n");
+                 "usage: tlsim <capture|info|replay> [--key=value ...]\n"
+                 "(Figure 5, Figure 6 and Table 2: run the bench/ "
+                 "mains)\n");
     return cmd == "help" ? 0 : 1;
 }
