@@ -82,20 +82,18 @@ main(int argc, char **argv)
 
     sim::ExperimentConfig cfg =
         bench::configFor(tpcc::TxnType::NewOrder, args);
-    std::fprintf(stderr, "capturing NEW ORDER...\n");
-    sim::SharedTraces traces =
-        bench::capture(tpcc::TxnType::NewOrder, cfg, args);
+    // Every capture of this program shares one database load.
+    tpcc::ImageLoader images;
+    sim::SharedTraces traces = bench::captureAll(
+        {tpcc::TxnType::NewOrder}, {cfg}, args, ex, &images)[0];
 
     // The Section 1 narrative also needs a naively-parallelized
     // capture of the *untuned* database (never cached: it is specific
     // to this ablation). Captures stay serial and up front.
-    tpcc::CaptureOptions uopts;
-    uopts.scale = cfg.scale;
-    uopts.txns = cfg.txns;
-    uopts.tlsBuild = false;
-    uopts.parallelMode = true; // naive parallelization attempt
-    WorkloadTrace untuned =
-        tpcc::captureBenchmark(tpcc::TxnType::NewOrder, uopts);
+    WorkloadTrace untuned = tpcc::captureBenchmark(
+        tpcc::TxnType::NewOrder,
+        sim::captureOptions(cfg, false, true), // naive parallelization
+        images.get(cfg.scale, cfg.loadSeed));
 
     // ----- job registration (results land by index) -------------------
     struct Job
@@ -174,15 +172,18 @@ main(int argc, char **argv)
     };
     constexpr std::size_t kPlaceBench =
         sizeof(place_txns) / sizeof(place_txns[0]);
-    sim::SharedTraces place_traces[kPlaceBench];
+    std::vector<tpcc::TxnType> place_more(place_txns + 1,
+                                          place_txns + kPlaceBench);
+    std::vector<sim::ExperimentConfig> place_cfgs;
+    for (tpcc::TxnType t : place_more)
+        place_cfgs.push_back(bench::configFor(t, args));
+    std::vector<sim::SharedTraces> place_traces =
+        bench::captureAll(place_more, place_cfgs, args, ex, &images);
+    place_traces.insert(place_traces.begin(), traces);
+    images = tpcc::ImageLoader{}; // captures done: drop the database
     std::size_t j_place_fixed[kPlaceBench], j_place_risk[kPlaceBench];
     std::size_t j_place_seq[kPlaceBench];
     for (std::size_t i = 0; i < kPlaceBench; ++i) {
-        place_traces[i] =
-            i == 0 ? traces
-                   : bench::capture(place_txns[i],
-                                    bench::configFor(place_txns[i], args),
-                                    args);
         MachineConfig fixed_mc = cfg.machine;
         fixed_mc.tls.riskPlacement = false;
         MachineConfig risk_mc = cfg.machine;

@@ -20,7 +20,8 @@
  *
  * This program is the Figure 5 front end. Each benchmark is captured
  * once (or reloaded from --trace-cache), serially up front, since
- * synthetic-PC assignment is interning-order dependent. The
+ * synthetic-PC assignment is interning-order dependent; the captures
+ * of a cold run share one loaded TPC-C database. The
  * (benchmark x bar) simulation points then fan out across --jobs
  * workers, each through sim::runBar, which attaches the --audit
  * auditor. Results land in index-assigned slots, so the report is
@@ -55,26 +56,14 @@ main(int argc, char **argv)
     const auto &benches = tpcc::allBenchmarks();
     const std::vector<sim::Bar> &bars = sim::allBars();
 
-    // Serial capture phase (each benchmark exactly once, through the
-    // trace cache when --trace-cache is given).
+    // Serial capture phase: each benchmark exactly once, through the
+    // trace cache when --trace-cache is given, from one database load.
     std::vector<sim::ExperimentConfig> cfgs;
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : benches) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
+    for (tpcc::TxnType type : benches)
         cfgs.push_back(bench::configFor(type, args));
-        traces.push_back(bench::capture(type, cfgs.back(), args));
-    }
-    if (report.probe().enabled()) {
-        std::vector<std::uint64_t> caps;
-        for (const sim::SharedTraces &t : traces) {
-            det::Hash h;
-            h.u64(det::hashWorkloadTrace(t->original));
-            h.u64(det::hashWorkloadTrace(t->tls));
-            caps.push_back(h.value());
-        }
-        report.probe().stageItems("capture", caps);
-    }
+    std::vector<sim::SharedTraces> traces =
+        bench::captureAll(benches, cfgs, args, ex);
+    report.probeCaptures(traces);
 
     // Parallel simulation phase: one task per (benchmark, bar).
     std::vector<RunResult> runs(benches.size() * bars.size());

@@ -75,26 +75,14 @@ main(int argc, char **argv)
         tpcc::TxnType::StockLevel,
     };
 
-    // Serial capture phase (each benchmark exactly once, through the
-    // trace cache when --trace-cache is given).
+    // Serial capture phase: each benchmark exactly once, through the
+    // trace cache when --trace-cache is given, from one database load.
     std::vector<sim::ExperimentConfig> cfgs;
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : sweep_benchmarks) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
+    for (tpcc::TxnType type : sweep_benchmarks)
         cfgs.push_back(bench::configFor(type, args));
-        traces.push_back(bench::capture(type, cfgs.back(), args));
-    }
-    if (report.probe().enabled()) {
-        std::vector<std::uint64_t> caps;
-        for (const sim::SharedTraces &t : traces) {
-            det::Hash h;
-            h.u64(det::hashWorkloadTrace(t->original));
-            h.u64(det::hashWorkloadTrace(t->tls));
-            caps.push_back(h.value());
-        }
-        report.probe().stageItems("capture", caps);
-    }
+    std::vector<sim::SharedTraces> traces =
+        bench::captureAll(sweep_benchmarks, cfgs, args, ex);
+    report.probeCaptures(traces);
 
     // Oracle phase: one dependence graph per benchmark scores the
     // whole grid analytically; the frontier keeps the BASELINE, the

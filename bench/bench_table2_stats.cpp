@@ -36,57 +36,35 @@ main(int argc, char **argv)
 
     const auto &benches = tpcc::allBenchmarks();
 
-    // Capture/decode-ahead pipeline: the produce stage captures (or
-    // loads from the trace cache) benchmark i+1 while the consume
-    // stage replays benchmark i. Captures stay in index order on one
-    // thread — synthetic-PC assignment is interning-order dependent —
-    // and replay never interns, so the rows are byte-identical to the
-    // serial capture-then-replay loop.
-    std::vector<sim::ExperimentConfig> cfgs(benches.size());
-    std::vector<sim::SharedTraces> traces(benches.size());
+    // Serial capture phase (one batch: a cold run loads one database),
+    // then one row per benchmark across --jobs workers. Rows land in
+    // index-assigned slots, so the table is identical for any job
+    // count.
+    std::vector<sim::ExperimentConfig> cfgs;
+    for (tpcc::TxnType type : benches)
+        cfgs.push_back(bench::configFor(type, args));
+    std::vector<sim::SharedTraces> traces =
+        bench::captureAll(benches, cfgs, args, ex);
+    report.probeCaptures(traces);
+
     std::vector<sim::Table2Row> rows(benches.size());
-    // Per-index probe digests filled from inside the pipeline stages
-    // (index-assigned slots, so the pipelined overlap cannot reorder
-    // them) and folded after the barrier below.
-    std::vector<std::uint64_t> capDigests(benches.size());
-    std::vector<std::uint64_t> rowDigests(benches.size());
-    bool probing = report.probe().enabled();
-    ex.pipeline(
-        benches.size(),
-        [&](std::size_t i) {
-            std::fprintf(stderr, "capturing %s...\n",
-                         tpcc::txnTypeName(benches[i]));
-            cfgs[i] = bench::configFor(benches[i], args);
-            traces[i] = bench::capture(benches[i], cfgs[i], args);
-            if (probing) {
-                det::Hash h;
-                h.u64(det::hashWorkloadTrace(traces[i]->original));
-                h.u64(det::hashWorkloadTrace(traces[i]->tls));
-                capDigests[i] = h.value();
-            }
-        },
-        [&](std::size_t i) {
-            rows[i] = sim::table2Row(benches[i], cfgs[i], *traces[i]);
-            if (probing) {
-                const sim::Table2Row &r = rows[i];
-                det::Hash h;
-                h.str(tpcc::txnTypeName(r.type));
-                h.f64(r.execMcycles);
-                h.f64(r.coverage);
-                h.f64(r.threadSizeInsts);
-                h.f64(r.specInstsPerThread);
-                h.f64(r.threadsPerTxn);
-                h.u64(r.epochs);
-                rowDigests[i] = h.value();
-            }
-            // The shared traces are only needed for this row; free
-            // them as the pipeline advances to bound live memory at
-            // the prefetch window.
-            traces[i] = sim::SharedTraces{};
-        });
-    if (probing) {
-        report.probe().stageItems("capture", capDigests);
-        report.probe().stageItems("replay", rowDigests);
+    ex.parallelFor(rows.size(), [&](std::size_t i) {
+        rows[i] = sim::table2Row(benches[i], cfgs[i], *traces[i]);
+    });
+    if (report.probe().enabled()) {
+        std::vector<std::uint64_t> digests;
+        for (const sim::Table2Row &r : rows) {
+            det::Hash h;
+            h.str(tpcc::txnTypeName(r.type));
+            h.f64(r.execMcycles);
+            h.f64(r.coverage);
+            h.f64(r.threadSizeInsts);
+            h.f64(r.specInstsPerThread);
+            h.f64(r.threadsPerTxn);
+            h.u64(r.epochs);
+            digests.push_back(h.value());
+        }
+        report.probe().stageItems("replay", digests);
     }
 
     sim::printTable2(std::cout, rows);

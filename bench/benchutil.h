@@ -28,6 +28,7 @@
 #include "base/log.h"
 #include "base/simd.h"
 #include "base/stats.h"
+#include "core/resulthash.h"
 #include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/tracecache.h"
@@ -179,12 +180,26 @@ makeExecutor(const BenchArgs &args)
     return sim::SimExecutor(args.jobs);
 }
 
-/** Capture (or reload from --trace-cache) one benchmark's traces. */
-inline sim::SharedTraces
-capture(tpcc::TxnType type, const sim::ExperimentConfig &cfg,
-        const BenchArgs &args)
+/**
+ * Capture (or reload from --trace-cache) the traces of each benchmark
+ * under its configuration, in order, as one batch: a cold run loads
+ * each distinct TPC-C database once, a warm one none; the trace
+ * indexes are built across `ex`. `images`, when given, keeps the
+ * loaded databases for captures after the batch.
+ */
+inline std::vector<sim::SharedTraces>
+captureAll(const std::vector<tpcc::TxnType> &types,
+           const std::vector<sim::ExperimentConfig> &cfgs,
+           const BenchArgs &args, sim::SimExecutor &ex,
+           tpcc::ImageLoader *images = nullptr)
 {
-    return sim::captureTracesShared(type, cfg, args.traceCache);
+    std::vector<sim::CaptureRequest> batch;
+    for (std::size_t i = 0; i < types.size(); ++i) {
+        std::fprintf(stderr, "capturing %s...\n",
+                     tpcc::txnTypeName(types[i]));
+        batch.push_back({types[i], cfgs[i]});
+    }
+    return sim::captureTracesShared(batch, args.traceCache, images, &ex);
 }
 
 /**
@@ -218,6 +233,7 @@ configFor(tpcc::TxnType type, const BenchArgs &args)
  *       "jobs": 2,
  *       "wall_seconds": 1.23,
  *       "simulated_cycles": 4.56e8,
+ *       "capture": {"db_loads": 1, "captures": 14, "hits": 0},
  *       "results": [ {"name": "...", "<metric>": <number>, ...}, ... ]
  *     }
  *
@@ -238,6 +254,23 @@ class BenchReport
 
     /** The --det-probe stage-digest collector (no-op when disabled). */
     det::Probe &probe() { return probe_; }
+
+    /** The --det-probe "capture" stage: one digest per benchmark over
+     *  both of its traces. */
+    void
+    probeCaptures(const std::vector<sim::SharedTraces> &traces)
+    {
+        if (!probe_.enabled())
+            return;
+        std::vector<std::uint64_t> caps;
+        for (const sim::SharedTraces &t : traces) {
+            det::Hash h;
+            h.u64(det::hashWorkloadTrace(t->original));
+            h.u64(det::hashWorkloadTrace(t->tls));
+            caps.push_back(h.value());
+        }
+        probe_.stageItems("capture", caps);
+    }
 
     /** Add one named result row; every field must be numeric. */
     void
@@ -373,6 +406,13 @@ class BenchReport
                 os << ", \"" << escape(name.substr(7)) << "\": " << val;
         }
         os << "},\n";
+        // Capture work: TPC-C databases loaded, traces captured, and
+        // benchmarks whose traces the trace cache supplied.
+        const auto &gc = stats::GlobalCounters::instance();
+        os << "  \"capture\": {\"db_loads\": "
+           << gc.value("tpcc.db_loads")
+           << ", \"captures\": " << gc.value("tpcc.captures")
+           << ", \"hits\": " << gc.value("tracecache.hit") << "},\n";
         std::string rendered = renderResults();
         if (probe_.enabled()) {
             // The serialize-stage digest covers the exact bytes about

@@ -35,6 +35,10 @@ class BTree
     BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
           std::string name);
 
+    /** A tree already in `pool`'s pages (an image-backed pool). */
+    BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
+          std::string name, PageId root, std::uint64_t count);
+
     /** Point lookup; traces the full descent. */
     bool get(BytesView key, Bytes *val);
 
@@ -75,6 +79,7 @@ class BTree
     Cursor cursor() { return Cursor(*this); }
 
     std::uint64_t size() const { return count_; }
+    PageId root() const { return root_; }
     const std::string &name() const { return name_; }
     unsigned height() const;
 

@@ -1,5 +1,7 @@
 #include "db/bufferpool.h"
 
+#include <cstring>
+
 #include "base/log.h"
 #include "core/site.h"
 #include "db/costs.h"
@@ -12,14 +14,65 @@ BufferPool::BufferPool(const DbConfig &cfg, Tracer &tracer)
 {
 }
 
+BufferPool::BufferPool(const PoolImage &image, const DbConfig &cfg,
+                       Tracer &tracer)
+    : cfg_(cfg), tr_(tracer), nextPage_(image.nextPage), image_(&image),
+      copied_(image.nextPage - 1, false), buckets_(image.buckets),
+      lruHead_(image.lruHead)
+{
+    if (pagesAllocated() > cfg_.maxPages)
+        fatal("buffer pool exhausted (%u pages)", cfg_.maxPages);
+    while (chunks_.size() < image.chunks.size())
+        addChunk();
+}
+
+void
+BufferPool::addChunk()
+{
+    // Not value-initialized: a frame is written in full (Page::init or
+    // the image copy) before its first use, and untouched frames stay
+    // out of resident memory. Aligned by hand rather than by an
+    // over-aligned new: a plain allocation lands beside the rest of
+    // the database's traced objects, which keeps an epoch's addresses
+    // within the 4 GB span a TraceIndex packs into 32 bits (aligned
+    // allocations went to a separate mapping: +14 MB of index memory
+    // and slower replay over a Figure 6 sweep).
+    std::size_t frames = std::size_t{kPagesPerChunk} * kPageSize;
+    std::size_t space = frames + kPageSize;
+    auto mem = std::make_unique_for_overwrite<std::uint8_t[]>(space);
+    void *base = mem.get();
+    std::align(kPageSize, frames, base, space);
+    chunks_.push_back({std::move(mem), static_cast<std::uint8_t *>(base)});
+}
+
 void *
 BufferPool::frameAddr(PageId pid) const
 {
     if (pid == kInvalidPage || pid >= nextPage_)
         panic("buffer pool: bad page id %u", pid);
     unsigned idx = pid - 1;
-    return chunks_[idx / kPagesPerChunk].mem.get() +
-           static_cast<std::size_t>(idx % kPagesPerChunk) * kPageSize;
+    std::size_t chunk = idx / kPagesPerChunk;
+    std::size_t off =
+        static_cast<std::size_t>(idx % kPagesPerChunk) * kPageSize;
+    std::uint8_t *frame = chunks_[chunk].base + off;
+    if (idx < copied_.size() && !copied_[idx]) {
+        std::memcpy(frame, image_->chunks[chunk].base + off, kPageSize);
+        copied_[idx] = true;
+    }
+    return frame;
+}
+
+PoolImage
+BufferPool::takeImage()
+{
+    if (image_)
+        panic("buffer pool: cannot freeze an image-backed pool");
+    PoolImage img{std::move(chunks_), nextPage_, std::move(buckets_),
+                  lruHead_};
+    chunks_.clear();
+    buckets_.clear();
+    nextPage_ = 1;
+    return img;
 }
 
 PageId
@@ -30,10 +83,8 @@ BufferPool::allocPage(std::uint8_t level)
         fatal("buffer pool exhausted (%u pages)", cfg_.maxPages);
 
     unsigned idx = nextPage_ - 1;
-    if (idx / kPagesPerChunk >= chunks_.size()) {
-        chunks_.push_back(Chunk{std::make_unique<std::uint8_t[]>(
-            static_cast<std::size_t>(kPagesPerChunk) * kPageSize)});
-    }
+    if (idx / kPagesPerChunk >= chunks_.size())
+        addChunk();
 
     // The page-allocator counter is shared; splits running in
     // different epochs serialize on it. Tuned mode escapes the

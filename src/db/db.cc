@@ -13,6 +13,29 @@ Database::Database(DbConfig cfg, Tracer &tracer)
 {
 }
 
+Database::Database(const DatabaseImage &image, DbConfig cfg,
+                   Tracer &tracer)
+    : cfg_(std::move(cfg)), tr_(tracer), pool_(image.pool, cfg_, tracer),
+      locks_(cfg_, tracer), log_(cfg_, tracer)
+{
+    for (const DatabaseImage::Table &t : image.tables)
+        tables_.push_back(std::make_unique<BTree>(
+            pool_, tr_, cfg_, t.name, t.root, t.count));
+}
+
+DatabaseImage
+Database::takeImage()
+{
+    if (nextTxn_ != 1)
+        panic("database: cannot freeze after transactions ran");
+    DatabaseImage img;
+    for (const auto &t : tables_)
+        img.tables.push_back({t->name(), t->root(), t->size()});
+    tables_.clear();
+    img.pool = pool_.takeImage();
+    return img;
+}
+
 TableId
 Database::createTable(std::string name)
 {

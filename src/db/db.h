@@ -26,6 +26,24 @@ namespace db {
 
 class Database;
 
+/**
+ * A loaded database, frozen (Database::takeImage): the pool's frames
+ * and metadata plus each table's name, root page and record count.
+ * Working databases built over it share it read-only.
+ */
+struct DatabaseImage
+{
+    struct Table
+    {
+        std::string name;
+        PageId root;
+        std::uint64_t count;
+    };
+
+    PoolImage pool;
+    std::vector<Table> tables;
+};
+
 /** A transaction handle: undo log plus held locks. */
 class Txn
 {
@@ -57,6 +75,20 @@ class Database
 {
   public:
     Database(DbConfig cfg, Tracer &tracer);
+
+    /**
+     * A working database over `image`, which must outlive it: the
+     * image's tables and pages (copied on first touch), with fresh
+     * lock, log and transaction state.
+     */
+    Database(const DatabaseImage &image, DbConfig cfg, Tracer &tracer);
+
+    /**
+     * Freeze the tables and pages into an image. Only valid while no
+     * lock, log or transaction state exists (a freshly loaded
+     * database); the database is unusable after.
+     */
+    DatabaseImage takeImage();
 
     /** Create a table; returns its id. */
     TableId createTable(std::string name);

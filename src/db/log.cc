@@ -7,11 +7,11 @@ namespace tlsim {
 namespace db {
 
 LogManager::LogManager(const DbConfig &cfg, Tracer &tracer)
-    : cfg_(cfg), tr_(tracer), buffer_(kGlobalBufBytes)
+    : cfg_(cfg), tr_(tracer), buffer_(kGlobalBufBytes / sizeof(Line))
 {
     epochBufs_.resize(kEpochBufs);
     for (auto &b : epochBufs_)
-        b.resize(kEpochBufBytes);
+        b.resize(kEpochBufBytes / sizeof(Line));
 }
 
 void
@@ -30,7 +30,7 @@ LogManager::logRecord(unsigned bytes)
         // Private per-epoch buffer: no shared state touched here.
         if (epochOff_ + bytes + 16 > kEpochBufBytes)
             epochOff_ = 0; // wrap within the private buffer
-        auto *dst = epochBufs_[curBuf_].data() + epochOff_;
+        auto *dst = bytesOf(epochBufs_[curBuf_]) + epochOff_;
         tr_.store(s_local.pc, dst, std::min(bytes + 16u, 64u));
         epochOff_ += bytes + 16;
         ++epochRecords_;
@@ -52,7 +52,7 @@ LogManager::logRecord(unsigned bytes)
     tailOff_ += bytes + 16;
     tr_.store(s_tail.pc, &tailOff_, sizeof(tailOff_));
 
-    tr_.store(s_copy.pc, buffer_.data() + off,
+    tr_.store(s_copy.pc, bytesOf(buffer_) + off,
               std::min(bytes + 16u, 64u));
     tr_.compute(s_copy.pc, insts);
 }

@@ -78,9 +78,21 @@ class LogManager
     Lsn nextLsn_ = 1;
     std::uint64_t tailOff_ = 0;
     std::uint64_t chainHead_ = 0; ///< per-txn undo/LSN chain head
-    std::vector<std::uint8_t> buffer_;
 
-    std::vector<std::vector<std::uint8_t>> epochBufs_;
+    /** Log buffer storage, cache-line aligned so where a traced copy
+     *  splits at line boundaries does not depend on the heap. */
+    struct alignas(64) Line
+    {
+        std::uint8_t bytes[64];
+    };
+    static std::uint8_t *
+    bytesOf(std::vector<Line> &buf)
+    {
+        return reinterpret_cast<std::uint8_t *>(buf.data());
+    }
+
+    std::vector<Line> buffer_;
+    std::vector<std::vector<Line>> epochBufs_;
     unsigned curBuf_ = 0;
     std::uint64_t epochOff_ = 0;
     unsigned epochRecords_ = 0;

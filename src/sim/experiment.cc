@@ -82,27 +82,38 @@ BenchmarkTraces::buildIndexes(unsigned line_bytes)
         tlsIndex = std::make_shared<const TraceIndex>(tls, line_bytes);
 }
 
+tpcc::CaptureOptions
+captureOptions(const ExperimentConfig &cfg, bool tls_build,
+               bool parallel_mode)
+{
+    tpcc::CaptureOptions o;
+    o.txns = cfg.txns;
+    o.tlsBuild = tls_build;
+    o.parallelMode = parallel_mode;
+    o.inputSeed = cfg.inputSeed;
+    o.loadSeed = cfg.loadSeed;
+    o.spawnOverheadInsts = cfg.machine.tls.spawnOverheadInsts;
+    o.scale = cfg.scale;
+    return o;
+}
+
+BenchmarkTraces
+captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg,
+              const std::shared_ptr<const tpcc::DbImage> &image)
+{
+    BenchmarkTraces out;
+    out.original = tpcc::captureBenchmark(
+        type, captureOptions(cfg, false, false), image);
+    out.tls = tpcc::captureBenchmark(type, captureOptions(cfg, true, true),
+                                     image);
+    return out;
+}
+
 BenchmarkTraces
 captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg)
 {
-    BenchmarkTraces out;
-
-    tpcc::CaptureOptions orig;
-    orig.txns = cfg.txns;
-    orig.tlsBuild = false;
-    orig.parallelMode = false;
-    orig.inputSeed = cfg.inputSeed;
-    orig.loadSeed = cfg.loadSeed;
-    orig.scale = cfg.scale;
-    out.original = tpcc::captureBenchmark(type, orig);
-
-    tpcc::CaptureOptions tls = orig;
-    tls.tlsBuild = true;
-    tls.parallelMode = true;
-    tls.spawnOverheadInsts = cfg.machine.tls.spawnOverheadInsts;
-    out.tls = tpcc::captureBenchmark(type, tls);
-
-    return out;
+    return captureTraces(type, cfg,
+                         tpcc::DbImage::load(cfg.scale, cfg.loadSeed));
 }
 
 RunResult

@@ -90,7 +90,23 @@ struct ExperimentConfig
     static ExperimentConfig testPreset();
 };
 
-/** Capture both traces for a benchmark. */
+/**
+ * How to capture one build of a benchmark under `cfg`: its scale,
+ * transaction count, seeds and spawn overhead, with the build
+ * (tuned database) and the tracer mode (loop markers honored) given.
+ */
+tpcc::CaptureOptions captureOptions(const ExperimentConfig &cfg,
+                                    bool tls_build, bool parallel_mode);
+
+/**
+ * Capture both traces for a benchmark, on working copies of `image`
+ * (loaded for cfg.scale and cfg.loadSeed).
+ */
+BenchmarkTraces
+captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg,
+              const std::shared_ptr<const tpcc::DbImage> &image);
+
+/** The same over one freshly loaded image. */
 BenchmarkTraces captureTraces(tpcc::TxnType type,
                               const ExperimentConfig &cfg);
 

@@ -108,17 +108,20 @@ namespace {
 
 /**
  * Load the trace pair for (type, cfg) from `cache_dir`, or capture it
- * (and, with a cache directory, write it there). The returned traces
- * carry no indexes yet.
+ * from an image of `images` (and, with a cache directory, write it
+ * there). The returned traces carry no indexes yet.
  */
 std::shared_ptr<BenchmarkTraces>
 loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
-              const std::string &cache_dir)
+              const std::string &cache_dir, tpcc::ImageLoader &images)
 {
+    auto capture = [&] {
+        return std::make_shared<BenchmarkTraces>(captureTraces(
+            type, cfg, images.get(cfg.scale, cfg.loadSeed)));
+    };
     if (cache_dir.empty()) {
         stats::GlobalCounters::instance().add("tracecache.bypass");
-        return std::make_shared<BenchmarkTraces>(
-            captureTraces(type, cfg));
+        return capture();
     }
 
     namespace fs = std::filesystem;
@@ -153,8 +156,7 @@ loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
               cache_dir.c_str(), ec.message().c_str());
 
     stats::GlobalCounters::instance().add("tracecache.capture");
-    auto traces =
-        std::make_shared<BenchmarkTraces>(captureTraces(type, cfg));
+    auto traces = capture();
     saveTraceFile(orig_path, traces->original);
     saveTraceFile(tls_path, traces->tls);
     return traces;
@@ -162,16 +164,39 @@ loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
 
 } // namespace
 
+std::vector<SharedTraces>
+captureTracesShared(const std::vector<CaptureRequest> &batch,
+                    const std::string &cache_dir,
+                    tpcc::ImageLoader *images, SimExecutor *ex)
+{
+    // The batch's own images die with this scope, before the indexes
+    // below add to peak memory.
+    std::vector<std::shared_ptr<BenchmarkTraces>> traces;
+    {
+        tpcc::ImageLoader own;
+        for (const CaptureRequest &r : batch)
+            traces.push_back(loadOrCapture(r.type, r.cfg, cache_dir,
+                                           images ? *images : own));
+    }
+    // Indexes are derived state: always analysed from the traces in
+    // hand, never read back from disk. Built once the traces sit at
+    // their final address (an index references its source workload).
+    auto index = [&](std::size_t i) {
+        traces[i]->buildIndexes(batch[i].cfg.machine.mem.lineBytes);
+    };
+    if (ex)
+        ex->parallelFor(traces.size(), index);
+    else
+        for (std::size_t i = 0; i < traces.size(); ++i)
+            index(i);
+    return {traces.begin(), traces.end()};
+}
+
 SharedTraces
 captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
                     const std::string &cache_dir)
 {
-    // Indexes are derived state: always analysed from the traces in
-    // hand, never read back from disk. Built once the traces sit at
-    // their final address (an index references its source workload).
-    auto traces = loadOrCapture(type, cfg, cache_dir);
-    traces->buildIndexes(cfg.machine.mem.lineBytes);
-    return traces;
+    return captureTracesShared({{type, cfg}}, cache_dir).front();
 }
 
 } // namespace sim

@@ -31,6 +31,8 @@ struct TpccConfig
     /** Orders >= this id start undelivered (spec: 2101). */
     std::uint32_t firstNewOrder = 2101;
 
+    bool operator==(const TpccConfig &) const = default;
+
     /** A small preset for unit tests. */
     static TpccConfig
     tiny()

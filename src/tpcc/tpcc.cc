@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/log.h"
+#include "base/stats.h"
 #include "core/site.h"
 
 namespace tlsim {
@@ -143,6 +144,43 @@ TpccDb::TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg,
     stockSeenStamps_.assign(cfg_.items + 1, 0);
 }
 
+TpccDb::TpccDb(const std::shared_ptr<const DbImage> &image,
+               db::DbConfig db_cfg, Tracer &tracer)
+    : cfg_(image->scale), image_(image),
+      db_(image->db, std::move(db_cfg), tracer), tr_(tracer),
+      t_(image->tables), historySeq_(image->historySeq)
+{
+    stockSeenStamps_.assign(cfg_.items + 1, 0);
+}
+
+std::shared_ptr<const DbImage>
+DbImage::load(const TpccConfig &scale, std::uint64_t load_seed)
+{
+    // The tracer never captures: the load leaves no trace, and the
+    // tuned and untuned builds load the same bytes, so the build
+    // chosen here does not matter.
+    Tracer tracer;
+    TpccDb tdb(scale, db::DbConfig{}, tracer);
+    tdb.load(load_seed);
+    auto image = std::make_shared<DbImage>();
+    image->scale = scale;
+    image->loadSeed = load_seed;
+    image->db = tdb.db_.takeImage();
+    image->tables = tdb.t_;
+    image->historySeq = tdb.historySeq_;
+    return image;
+}
+
+std::shared_ptr<const DbImage>
+ImageLoader::get(const TpccConfig &scale, std::uint64_t load_seed)
+{
+    for (const auto &image : images_)
+        if (image->scale == scale && image->loadSeed == load_seed)
+            return image;
+    images_.push_back(DbImage::load(scale, load_seed));
+    return images_.back();
+}
+
 namespace {
 
 void
@@ -157,6 +195,7 @@ fillString(Rng &rng, char *dst, std::size_t n)
 void
 TpccDb::load(std::uint64_t seed)
 {
+    stats::GlobalCounters::instance().add("tpcc.db_loads");
     Rng rng(seed);
 
     // ITEM
@@ -423,8 +462,15 @@ TpccDb::checkConsistency()
 // --------------------------------------------------------------------
 
 WorkloadTrace
-captureBenchmark(TxnType type, const CaptureOptions &opts)
+captureBenchmark(TxnType type, const CaptureOptions &opts,
+                 const std::shared_ptr<const DbImage> &image)
 {
+    if (image->scale != opts.scale ||
+        image->loadSeed != opts.loadSeed)
+        panic("capture of %s: the database image was loaded for "
+              "another scale or load seed",
+              txnTypeName(type));
+    stats::GlobalCounters::instance().add("tpcc.captures");
     Tracer::Options topts;
     topts.parallelMode = opts.parallelMode;
     topts.spawnOverheadInsts = opts.spawnOverheadInsts;
@@ -432,8 +478,7 @@ captureBenchmark(TxnType type, const CaptureOptions &opts)
 
     db::DbConfig dbc;
     dbc.tuned = opts.tlsBuild;
-    TpccDb tdb(opts.scale, dbc, tracer);
-    tdb.load(opts.loadSeed);
+    TpccDb tdb(image, dbc, tracer);
 
     InputGen gen(opts.scale, opts.inputSeed);
     for (unsigned i = 0; i < opts.txns; ++i) {
@@ -443,6 +488,13 @@ captureBenchmark(TxnType type, const CaptureOptions &opts)
         tracer.txnEnd();
     }
     return tracer.takeWorkload();
+}
+
+WorkloadTrace
+captureBenchmark(TxnType type, const CaptureOptions &opts)
+{
+    return captureBenchmark(type, opts,
+                            DbImage::load(opts.scale, opts.loadSeed));
 }
 
 } // namespace tpcc

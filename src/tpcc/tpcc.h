@@ -10,12 +10,17 @@
  * database, no TLS markers — the SEQUENTIAL binary) and the TLS build
  * (tuned database, loop markers, epoch hooks — the TLS-SEQ and
  * parallel binaries). `DbConfig::tuned` selects between them.
+ *
+ * Both builds load byte-identical databases (the load writes through
+ * BTree::put only, never traced, locked or logged), so a capture runs
+ * on a working copy of a shared DbImage instead of loading its own.
  */
 
 #ifndef TPCC_TPCC_H
 #define TPCC_TPCC_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,11 +51,52 @@ const char *txnTypeName(TxnType t);
 std::optional<TxnType> txnTypeByName(const std::string &name);
 const std::vector<TxnType> &allBenchmarks();
 
+/**
+ * A loaded TPC-C database, frozen: exactly the state
+ * TpccDb::load(loadSeed) leaves behind — the page frames, the pool
+ * metadata, each table's root and record count, and the HISTORY
+ * sequence. Immutable; shared by the working TpccDbs built over it.
+ */
+struct DbImage
+{
+    TpccConfig scale;
+    std::uint64_t loadSeed = 0;
+    db::DatabaseImage db;
+    Tables tables{};
+    std::uint64_t historySeq = 0;
+
+    /** Run TpccDb::load(load_seed) untraced, then freeze the result. */
+    static std::shared_ptr<const DbImage> load(const TpccConfig &scale,
+                                               std::uint64_t load_seed);
+};
+
+/**
+ * Images loaded on first request, one per distinct (scale, loadSeed):
+ * the images of a batch of captures. Not thread-safe.
+ */
+class ImageLoader
+{
+  public:
+    std::shared_ptr<const DbImage> get(const TpccConfig &scale,
+                                       std::uint64_t load_seed);
+
+  private:
+    std::vector<std::shared_ptr<const DbImage>> images_;
+};
+
 /** The TPC-C database and transaction implementations. */
 class TpccDb
 {
   public:
     TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg, Tracer &tracer);
+
+    /**
+     * A working database over a loaded image: the same contents as
+     * a TpccDb that ran load(image->loadSeed), with fresh transaction
+     * state. Pages are copied from the image on first touch.
+     */
+    TpccDb(const std::shared_ptr<const DbImage> &image,
+           db::DbConfig db_cfg, Tracer &tracer);
 
     /** Initial population per clause 4.3 (run before capturing). */
     void load(std::uint64_t seed = 7);
@@ -109,7 +155,11 @@ class TpccDb
 
     bool tlsBuild() const { return db_.config().tuned; }
 
+    friend struct DbImage;
+
     TpccConfig cfg_;
+    /** Keeps the copy-on-first-touch source alive (null if loaded). */
+    std::shared_ptr<const DbImage> image_;
     db::Database db_;
     Tracer &tr_;
     Tables t_{};
@@ -139,7 +189,15 @@ struct CaptureOptions
     TpccConfig scale;
 };
 
-/** Run `opts.txns` transactions of `type` and capture their traces. */
+/**
+ * Run `opts.txns` transactions of `type` on a working copy of `image`
+ * (which must match opts.scale and opts.loadSeed) and capture their
+ * traces.
+ */
+WorkloadTrace captureBenchmark(TxnType type, const CaptureOptions &opts,
+                               const std::shared_ptr<const DbImage> &image);
+
+/** The same on a freshly loaded image. */
 WorkloadTrace captureBenchmark(TxnType type, const CaptureOptions &opts);
 
 } // namespace tpcc

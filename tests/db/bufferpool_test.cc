@@ -108,6 +108,34 @@ TEST(BufferPool, UntunedFetchTracesLruUpdates)
     EXPECT_EQ(tuned_stores, 0u); // tuned build: no LRU store
 }
 
+TEST(BufferPool, ImageBackedPoolCopiesOnFirstTouch)
+{
+    DbConfig cfg;
+    Tracer tr;
+    BufferPool src(cfg, tr);
+    PageId a = src.allocPage(0);
+    PageId b = src.allocPage(1);
+    static_cast<std::uint8_t *>(src.frameAddr(a))[100] = 0xAB;
+    PoolImage image = src.takeImage();
+
+    BufferPool copy(image, cfg, tr);
+    EXPECT_EQ(copy.pagesAllocated(), 2u);
+    auto *fa = static_cast<std::uint8_t *>(copy.frameAddr(a));
+    EXPECT_EQ(fa[100], 0xAB);
+    EXPECT_EQ(copy.fetch(b).hdr().level, 1);
+    // Frames are page-aligned and the copy's own: writing one leaves
+    // the image untouched.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(fa) % kPageSize, 0u);
+    fa[100] = 0xCD;
+    EXPECT_EQ(image.chunks[0].base[100], 0xAB);
+    EXPECT_EQ(copy.fetch(a).hdr().id, a);
+    // Pages past the image are formatted as in any pool.
+    PageId c = copy.allocPage(0);
+    EXPECT_EQ(c, 3u);
+    EXPECT_TRUE(copy.fetch(c).leaf());
+    EXPECT_EQ(copy.fetch(c).slotCount(), 0u);
+}
+
 } // namespace
 } // namespace db
 } // namespace tlsim

@@ -178,45 +178,6 @@ TEST_F(SimdGoldenTest, VictimAndSubthreadStressIsSimdInvariant)
                      "simd/k2-spacing500");
 }
 
-/**
- * Pipeline golden equivalence: running the decode-ahead pipeline
- * (produce overlapping consume on a second thread) must yield the
- * same RunResults as the serial produce-then-consume loop that a
- * one-job executor runs inline.
- */
-TEST_F(GoldenEquivTest, PipelinedReplayMatchesSerial)
-{
-    const BenchmarkTraces &shared = traces(tpcc::TxnType::NewOrder);
-    ExperimentConfig cfg = ExperimentConfig::testPreset();
-    const std::vector<Bar> &bars = allBars();
-
-    auto sweep = [&](sim::SimExecutor &ex) {
-        // Mirrors the bench shape: produce materialises the traces
-        // (deep copy, the decode stand-in), consume replays them.
-        std::vector<std::unique_ptr<BenchmarkTraces>> t(bars.size());
-        std::vector<RunResult> out(bars.size());
-        ex.pipeline(
-            bars.size(),
-            [&](std::size_t i) {
-                t[i] = std::make_unique<BenchmarkTraces>(shared);
-            },
-            [&](std::size_t i) {
-                out[i] = runBar(bars[i], *t[i], cfg);
-                t[i].reset();
-            });
-        return out;
-    };
-
-    sim::SimExecutor serial_ex(1);
-    sim::SimExecutor pipe_ex(2);
-    std::vector<RunResult> serial = sweep(serial_ex);
-    std::vector<RunResult> piped = sweep(pipe_ex);
-    ASSERT_EQ(serial.size(), piped.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameResult(piped[i], serial[i],
-                         std::string("pipeline/") + barName(bars[i]));
-}
-
 TEST_F(GoldenEquivTest, SmallSubthreadBudgetIsOracleInvariant)
 {
     // Coarse checkpoints stress the rewind path: more records replay

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "base/stats.h"
+#include "core/resulthash.h"
 #include "core/traceindex.h"
 #include "sim/executor.h"
 #include "sim/tracecache.h"
@@ -140,6 +141,64 @@ TEST(TraceCache, EmptyDirBypassesDisk)
         captureTracesShared(tpcc::TxnType::StockLevel, cfg, "");
     ASSERT_NE(t, nullptr);
     EXPECT_FALSE(t->tls.txns.empty());
+}
+
+std::uint64_t
+counter(const char *name)
+{
+    return stats::GlobalCounters::instance().value(name);
+}
+
+TEST(TraceCache, CaptureTracesLoadsOnce)
+{
+    // The original and the TLS capture share one database image.
+    std::uint64_t loads = counter("tpcc.db_loads");
+    std::uint64_t caps = counter("tpcc.captures");
+    BenchmarkTraces t = captureTraces(tpcc::TxnType::Payment, tinyConfig());
+    EXPECT_FALSE(t.original.txns.empty());
+    EXPECT_EQ(counter("tpcc.db_loads") - loads, 1u);
+    EXPECT_EQ(counter("tpcc.captures") - caps, 2u);
+}
+
+TEST(TraceCache, BatchLoadsEachDatabaseOnceAndWarmLoadsNone)
+{
+    ExperimentConfig cfg = tinyConfig();
+    cfg.txns = 2; // the counts, not the traces, are under test
+    std::vector<CaptureRequest> batch;
+    for (tpcc::TxnType type : tpcc::allBenchmarks())
+        batch.push_back({type, cfg});
+    std::string dir = freshCacheDir("batch");
+
+    std::uint64_t loads = counter("tpcc.db_loads");
+    std::uint64_t caps = counter("tpcc.captures");
+    std::uint64_t hits = counter("tracecache.hit");
+    std::vector<SharedTraces> cold = captureTracesShared(batch, dir);
+    ASSERT_EQ(cold.size(), batch.size());
+    EXPECT_EQ(counter("tpcc.db_loads") - loads, 1u);
+    EXPECT_EQ(counter("tpcc.captures") - caps, 2 * batch.size());
+    EXPECT_EQ(counter("tracecache.hit") - hits, 0u);
+
+    // Warm: every pair comes from disk, so no image is built.
+    loads = counter("tpcc.db_loads");
+    caps = counter("tpcc.captures");
+    std::vector<SharedTraces> warm = captureTracesShared(batch, dir);
+    ASSERT_EQ(warm.size(), batch.size());
+    EXPECT_EQ(counter("tpcc.db_loads") - loads, 0u);
+    EXPECT_EQ(counter("tpcc.captures") - caps, 0u);
+    EXPECT_EQ(counter("tracecache.hit") - hits, batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(det::hashWorkloadTrace(cold[i]->tls),
+                  det::hashWorkloadTrace(warm[i]->tls))
+            << tpcc::txnTypeName(batch[i].type);
+        ASSERT_NE(warm[i]->tlsIndex, nullptr);
+    }
+
+    // A distinct load seed is a distinct database: one more load.
+    batch[0].cfg.loadSeed += 1;
+    loads = counter("tpcc.db_loads");
+    captureTracesShared(batch, dir);
+    EXPECT_EQ(counter("tpcc.db_loads") - loads, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceCache, SecondLoadReplaysIdentically)

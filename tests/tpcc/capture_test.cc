@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "sim/experiment.h"
 #include "tpcc/tpcc.h"
 
 namespace tlsim {
@@ -153,6 +157,172 @@ TEST(Capture, EscapedWorkOnlyInTlsBuild)
                     tls_has_latches |=
                         r.op == TraceOp::LatchAcquire;
     EXPECT_TRUE(tls_has_latches);
+}
+
+// ---------------------------------------------------------------------
+// Image-backed captures
+// ---------------------------------------------------------------------
+
+/** captureBenchmark's transaction loop, on a database built by the
+ *  caller (so the database can be inspected afterwards). */
+WorkloadTrace
+runCapture(TpccDb &tdb, Tracer &tracer, TxnType type,
+           const CaptureOptions &o)
+{
+    InputGen gen(o.scale, o.inputSeed);
+    for (unsigned i = 0; i < o.txns; ++i) {
+        tracer.txnBegin();
+        tdb.runTransaction(type, gen, (i % o.scale.districts) + 1);
+        tracer.txnEnd();
+    }
+    return tracer.takeWorkload();
+}
+
+Tracer::Options
+tracerOpts(const CaptureOptions &o)
+{
+    Tracer::Options t;
+    t.parallelMode = o.parallelMode;
+    t.spawnOverheadInsts = o.spawnOverheadInsts;
+    return t;
+}
+
+db::DbConfig
+dbConfig(bool tuned)
+{
+    db::DbConfig c;
+    c.tuned = tuned;
+    return c;
+}
+
+/** The first difference between two captures in anything but the
+ *  heap address of a Load/Store record; "" when there is none. */
+std::string
+traceDiff(const WorkloadTrace &a, const WorkloadTrace &b)
+{
+    if (a.txns.size() != b.txns.size())
+        return "transaction count";
+    for (std::size_t t = 0; t < a.txns.size(); ++t) {
+        const auto &sa = a.txns[t].sections, &sb = b.txns[t].sections;
+        if (sa.size() != sb.size())
+            return "section count, txn " + std::to_string(t);
+        for (std::size_t s = 0; s < sa.size(); ++s) {
+            std::string at = "txn " + std::to_string(t) + " section " +
+                             std::to_string(s);
+            if (sa[s].parallel != sb[s].parallel ||
+                sa[s].epochs.size() != sb[s].epochs.size())
+                return at + ": kind or epoch count";
+            for (std::size_t e = 0; e < sa[s].epochs.size(); ++e) {
+                const EpochTrace &ea = sa[s].epochs[e];
+                const EpochTrace &eb = sb[s].epochs[e];
+                std::string ep = at + " epoch " + std::to_string(e);
+                if (ea.instCount != eb.instCount ||
+                    ea.specInstCount != eb.specInstCount ||
+                    ea.escapeSpans != eb.escapeSpans)
+                    return ep + ": instruction counts or escapes";
+                if (ea.records.size() != eb.records.size())
+                    return ep + ": record count";
+                for (std::size_t r = 0; r < ea.records.size(); ++r) {
+                    const TraceRecord &x = ea.records[r];
+                    const TraceRecord &y = eb.records[r];
+                    bool mem = x.op == TraceOp::Load ||
+                               x.op == TraceOp::Store;
+                    if (x.op != y.op || x.size != y.size ||
+                        x.aux != y.aux || x.pc != y.pc ||
+                        (!mem && x.addr != y.addr))
+                        return ep + " record " + std::to_string(r);
+                }
+            }
+        }
+    }
+    return "";
+}
+
+/** Every page, table size and consistency condition of two databases
+ *  agree. */
+void
+expectSameDatabase(TpccDb &a, TpccDb &b, const std::string &what)
+{
+    db::Database &da = a.database(), &dbb = b.database();
+    ASSERT_EQ(da.pool().pagesAllocated(), dbb.pool().pagesAllocated())
+        << what;
+    for (db::PageId pid = 1; pid <= da.pool().pagesAllocated(); ++pid)
+        ASSERT_EQ(std::memcmp(da.pool().frameAddr(pid),
+                              dbb.pool().frameAddr(pid), db::kPageSize),
+                  0)
+            << what << ": page " << pid;
+    ASSERT_EQ(da.tableCount(), dbb.tableCount()) << what;
+    for (db::TableId t = 0; t < da.tableCount(); ++t)
+        EXPECT_EQ(da.table(t).size(), dbb.table(t).size())
+            << what << ": table " << da.table(t).name();
+    a.checkConsistency();
+    b.checkConsistency();
+}
+
+TEST(Capture, ImageBackedMatchesFreshLoad)
+{
+    CaptureOptions base = tinyOpts(false);
+    std::shared_ptr<const DbImage> image =
+        DbImage::load(base.scale, base.loadSeed);
+    for (TxnType type : allBenchmarks()) {
+        for (bool tls : {false, true}) {
+            CaptureOptions o = tinyOpts(tls);
+            std::string what = std::string(txnTypeName(type)) +
+                               (tls ? " TLS" : " original");
+
+            Tracer fresh_tr(tracerOpts(o));
+            TpccDb fresh(o.scale, dbConfig(tls), fresh_tr);
+            fresh.load(o.loadSeed);
+            WorkloadTrace want = runCapture(fresh, fresh_tr, type, o);
+
+            Tracer copy_tr(tracerOpts(o));
+            TpccDb copy(image, dbConfig(tls), copy_tr);
+            WorkloadTrace got = runCapture(copy, copy_tr, type, o);
+
+            EXPECT_EQ(traceDiff(want, got), "") << what;
+            EXPECT_EQ(traceDiff(want, captureBenchmark(type, o, image)),
+                      "")
+                << what << " (captureBenchmark)";
+            expectSameDatabase(fresh, copy, what);
+        }
+    }
+}
+
+TEST(CaptureDeathTest, ImageMustMatchTheCapture)
+{
+    CaptureOptions o = tinyOpts(true);
+    std::shared_ptr<const DbImage> image =
+        DbImage::load(o.scale, o.loadSeed + 1);
+    EXPECT_DEATH(captureBenchmark(TxnType::Payment, o, image),
+                 "another scale or load seed");
+}
+
+/** The load is the same bytes in both builds: the premise that lets
+ *  the original and the TLS capture share one image. */
+void
+expectTunedAndUntunedLoadsIdentical(const TpccConfig &scale)
+{
+    const std::uint64_t seed = 7;
+    Tracer t1, t2;
+    TpccDb untuned(scale, dbConfig(false), t1);
+    untuned.load(seed);
+    TpccDb tuned(scale, dbConfig(true), t2);
+    tuned.load(seed);
+    expectSameDatabase(untuned, tuned, "tuned vs untuned load");
+
+    Tracer t3;
+    TpccDb copy(DbImage::load(scale, seed), dbConfig(true), t3);
+    expectSameDatabase(untuned, copy, "image vs fresh load");
+    for (db::TableId t = 0; t < copy.database().tableCount(); ++t)
+        EXPECT_EQ(copy.database().table(t).root(),
+                  untuned.database().table(t).root());
+}
+
+TEST(DbImage, TunedAndUntunedLoadsAreIdentical)
+{
+    expectTunedAndUntunedLoadsIdentical(TpccConfig::tiny());
+    expectTunedAndUntunedLoadsIdentical(
+        sim::ExperimentConfig::paper(TxnType::NewOrder, true).scale);
 }
 
 } // namespace

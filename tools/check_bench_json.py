@@ -49,6 +49,12 @@ Every bench binary writes this schema when invoked with --json=FILE:
         }
       },                              # results[] must name every pass
                                       # T1..P4, each with violations 0
+      "capture": {                    # optional; absent only in
+        "db_loads": <int >= 0>,       # pre-capture-block reports.
+        "captures": <int >= 0>,       # TPC-C databases loaded, traces
+        "hits": <int >= 0>            # captured, benchmarks the trace
+      },                              # cache supplied; a capture needs
+                                      # a load, a load serves captures
       "replay": {                     # optional; absent only in
         "simd": "avx2"|"scalar",      # pre-replay-block reports
         "<counter>": <number >= 0>,   # the replay.* counter group
@@ -292,6 +298,29 @@ def check_replay(path, rep):
     return ok
 
 
+def check_capture(path, cap):
+    if not isinstance(cap, dict):
+        return fail(path, "'capture' is not an object")
+    ok = True
+    keys = ("db_loads", "captures", "hits")
+    extra = sorted(set(cap) - set(keys))
+    if extra:
+        ok = fail(path, f"capture has unknown key(s) {', '.join(extra)}")
+    for k in keys:
+        if not is_count(cap.get(k)):
+            ok = fail(path, f"capture {k!r} must be an integer >= 0, "
+                            f"got {cap.get(k)!r}")
+    if not ok:
+        return False
+    if cap["captures"] > 0 and cap["db_loads"] == 0:
+        ok = fail(path, "capture reports captures without a database "
+                        "load")
+    if cap["db_loads"] > cap["captures"]:
+        ok = fail(path, f"capture reports {cap['db_loads']} database "
+                        f"loads for {cap['captures']} captures")
+    return ok
+
+
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -327,6 +356,8 @@ def check_file(path):
         ok = check_determinism(path, doc["determinism"]) and ok
     if "staticanalysis" in doc:
         ok = check_staticanalysis(path, doc["staticanalysis"]) and ok
+    if "capture" in doc:
+        ok = check_capture(path, doc["capture"]) and ok
     if "replay" in doc:
         ok = check_replay(path, doc["replay"]) and ok
     results = doc.get("results")

@@ -5,10 +5,10 @@
 #   build-asan  AddressSanitizer + UndefinedBehaviorSanitizer,
 #               full unit-test suite;
 #   build-tsan  ThreadSanitizer, the threaded components only (the
-#               parallel simulation executor, the capture/replay
-#               pipeline, and the benches' fan-out) - the rest of the
-#               simulator is single-threaded and TSan makes it ~10x
-#               slower for no additional coverage.
+#               parallel simulation executor and the benches'
+#               fan-out) - the rest of the simulator is
+#               single-threaded and TSan makes it ~10x slower for
+#               no additional coverage.
 #
 # One uninstrumented variant build:
 #   build-simd-off  -DTLSIM_SIMD=OFF: the portable scalar kernels are

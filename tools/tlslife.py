@@ -111,7 +111,7 @@ INTO_STORAGE = {"back", "front", "data", "begin", "end", "cbegin",
 
 #: Task-queueing entry points for the P3 capture rule (tlsdet's D3
 #: executors plus plain submission).
-EXECUTORS = {"parallelFor", "pipeline", "submit"}
+EXECUTORS = {"parallelFor", "submit"}
 
 #: Generation-counter types narrow enough that wrap is reachable in a
 #: long simulation (uint64 needs ~585 years of resets at 1 GHz).
