@@ -53,7 +53,7 @@ class MicroBuilder
   public:
     MicroBuilder() : mem_(65536, 0)
     {
-        pc_ = SiteRegistry::instance().intern("micro.site");
+        pc_ = sitePc(SiteId::MicroSite);
     }
 
     void *addr(std::size_t w) { return &mem_.at(w); }
@@ -66,6 +66,7 @@ class MicroBuilder
         o.parallelMode = true;
         o.spawnOverheadInsts = 50;
         Tracer t(o);
+        TracedRegion region(t, mem_.data(), mem_.size() * sizeof(mem_[0]));
         t.txnBegin();
         t.loopBegin();
         for (const auto &body : bodies) {

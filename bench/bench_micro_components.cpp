@@ -256,11 +256,12 @@ BENCHMARK(BM_BTreePut);
 void
 BM_MachineReplay(benchmark::State &state)
 {
-    static Pc pc = SiteRegistry::instance().intern("bench.replay");
+    constexpr Pc pc = sitePc(SiteId::BenchReplay);
     std::vector<std::uint64_t> mem(8192);
     Tracer::Options o;
     o.parallelMode = true;
     Tracer t(o);
+    TracedRegion region(t, mem.data(), mem.size() * sizeof(mem[0]));
     t.txnBegin();
     t.loopBegin();
     for (int e = 0; e < 8; ++e) {
@@ -343,13 +344,14 @@ BENCHMARK_CAPTURE(BM_ReplayTpcc, STOCK_LEVEL,
 void
 BM_TraceCapture(benchmark::State &state)
 {
-    static Pc pc = SiteRegistry::instance().intern("bench.capture");
+    constexpr Pc pc = sitePc(SiteId::BenchCapture);
     std::vector<std::uint64_t> mem(4096);
     std::uint64_t records = 0;
     for (auto _ : state) {
         Tracer::Options o;
         o.parallelMode = true;
         Tracer t(o);
+        TracedRegion region(t, mem.data(), mem.size() * sizeof(mem[0]));
         t.txnBegin();
         t.loopBegin();
         for (int e = 0; e < 4; ++e) {

@@ -60,7 +60,6 @@ DependenceProfiler::report() const
 std::string
 DependenceProfiler::reportText(unsigned n) const
 {
-    const auto &reg = SiteRegistry::instance();
     std::ostringstream os;
     os << "rank  failed-cycles  violations  load-site <- store-site\n";
     unsigned rank = 0;
@@ -70,10 +69,10 @@ DependenceProfiler::reportText(unsigned n) const
         // Load PC 0 means the exposed-load table had lost the entry
         // (direct-mapped conflict) by the time the violation arrived.
         std::string load = p.loadPc
-                               ? reg.name(p.loadPc)
+                               ? siteName(p.loadPc)
                                : std::string("<exposed-load-table miss>");
         os << rank << "  " << p.failedCycles << "  " << p.violations
-           << "  " << load << " <- " << reg.name(p.storePc) << "\n";
+           << "  " << load << " <- " << siteName(p.storePc) << "\n";
     }
     return os.str();
 }

@@ -188,14 +188,6 @@ TraceIndex::pack(const EpochFlags &flags)
         EpochView &v = views_[ei];
         const std::size_t n = e.records.size();
 
-        std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
-        for (const TraceRecord &r : e.records)
-            if (isMemOp(r.op))
-                base = std::min(base, r.addr);
-        v.addrBase =
-            base == std::numeric_limits<std::uint64_t>::max() ? 0
-                                                              : base;
-
         v.head.resize(n);
         v.pc.resize(n);
         v.addr32.resize(n);
@@ -228,16 +220,7 @@ TraceIndex::pack(const EpochFlags &flags)
             if (f[i] & 2)
                 head |= EpochView::kCoveredBit;
 
-            std::uint64_t raw =
-                isMemOp(r.op) ? r.addr - v.addrBase : r.addr;
-            if (raw > std::numeric_limits<std::uint32_t>::max()) {
-                head |= EpochView::kWideBit;
-                v.addr32[i] =
-                    checkedNarrow<std::uint32_t>(v.wide.size());
-                v.wide.push_back(r.addr);
-            } else {
-                v.addr32[i] = checkedNarrow<std::uint32_t>(raw);
-            }
+            v.addr32[i] = checkedNarrow<std::uint32_t>(r.addr);
             v.head[i] = head;
             v.pc[i] = r.pc;
 

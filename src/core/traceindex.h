@@ -26,10 +26,10 @@
  *    merge computes dynamically is precomputed here, bit-exact.
  *
  * The analysis also converts each epoch to a packed structure-of-arrays
- * EpochView (head/pc/addr32 streams with a per-epoch address base and a
- * wide-address escape table) so the replay loop streams 12 bytes per
- * record instead of a 16-byte TraceRecord, with the oracle bits decoded
- * from the same head word as the opcode.
+ * EpochView (head/pc/addr32 streams; every traced address is a
+ * synthetic one below 4 GB, core/tracer.h) so the replay loop streams
+ * 12 bytes per record instead of a 16-byte TraceRecord, with the
+ * oracle bits decoded from the same head word as the opcode.
  *
  * The index is a pure acceleration structure: with the oracle enabled
  * or disabled (TlsConfig::useConflictOracle), every RunResult field is
@@ -54,20 +54,19 @@ namespace tlsim {
  *
  * head word layout (32 bits):
  *   [0:2]   op          TraceOp
- *   [3]     wide        addr32 is an index into `wide`
+ *   [3]     reserved
  *   [4:10]  size        access size in bytes (memory ops)
  *   [11]    conflict    line is a conflict candidate (memory ops)
  *   [12]    covered     load fully covered by own earlier stores
  *   [13:15] reserved
  *   [16:31] aux         the record's aux field
  *
- * addr32 holds, unless `wide` is set: addr - addrBase for Load/Store,
- * the raw addr field (compute count / latch id) otherwise.
+ * addr32 holds the record's addr field: the address for Load/Store,
+ * the compute count or latch id otherwise.
  */
 struct EpochView
 {
     static constexpr std::uint32_t kOpMask = 0x7;
-    static constexpr std::uint32_t kWideBit = 1u << 3;
     static constexpr unsigned kSizeShift = 4;
     static constexpr std::uint32_t kSizeMask = 0x7F;
     static constexpr std::uint32_t kConflictBit = 1u << 11;
@@ -77,8 +76,6 @@ struct EpochView
     std::vector<std::uint32_t> head;
     std::vector<Pc> pc;
     std::vector<std::uint32_t> addr32;
-    std::vector<std::uint64_t> wide; ///< out-of-range address table
-    std::uint64_t addrBase = 0;      ///< subtracted from memory addrs
 
     /** Speculatively-accessible lines this epoch touches, sorted. */
     std::vector<Addr> footprint;
@@ -111,18 +108,11 @@ struct EpochView
         return checkedNarrow<std::uint16_t>(h >> kAuxShift);
     }
 
-    /** Full address of memory record `i` (op Load/Store). */
-    Addr memAddr(std::size_t i) const
-    {
-        std::uint32_t h = head[i];
-        return h & kWideBit ? wide[addr32[i]] : addrBase + addr32[i];
-    }
+    /** Address of memory record `i` (op Load/Store). */
+    Addr memAddr(std::size_t i) const { return addr32[i]; }
 
-    /** Raw addr field of non-memory record `i` (count / latch id). */
-    std::uint64_t value(std::size_t i) const
-    {
-        return head[i] & kWideBit ? wide[addr32[i]] : addr32[i];
-    }
+    /** Addr field of non-memory record `i` (count / latch id). */
+    std::uint64_t value(std::size_t i) const { return addr32[i]; }
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "core/tracer.h"
 
+#include <algorithm>
+
 #include "base/log.h"
 #include "base/stats.h"
 #include "core/site.h"
@@ -21,15 +23,71 @@ Tracer::append(const TraceRecord &rec)
 }
 
 void
-Tracer::memAccess(TraceOp op, Pc pc, Addr a, std::size_t size,
+Tracer::mapRegion(const void *p, std::size_t bytes, Addr synth)
+{
+    if (bytes == 0 || synth + bytes > kSpaceEnd)
+        panic("tracer: region of %zu bytes at synthetic 0x%llx does not "
+              "fit the 4 GB space",
+              bytes, static_cast<unsigned long long>(synth));
+    Region r{reinterpret_cast<std::uintptr_t>(p),
+             reinterpret_cast<std::uintptr_t>(p) + bytes, synth};
+    auto it = std::upper_bound(
+        regions_.begin(), regions_.end(), r.real,
+        [](std::uintptr_t a, const Region &x) { return a < x.real; });
+    if ((it != regions_.end() && it->real < r.end) ||
+        (it != regions_.begin() && std::prev(it)->end > r.real))
+        panic("tracer: region %p (%zu bytes) overlaps a registered one",
+              p, bytes);
+    regions_.insert(it, r);
+    lastRegion_ = 0;
+}
+
+void
+Tracer::unmapRegion(const void *p)
+{
+    auto real = reinterpret_cast<std::uintptr_t>(p);
+    auto it = std::lower_bound(
+        regions_.begin(), regions_.end(), real,
+        [](const Region &x, std::uintptr_t a) { return x.real < a; });
+    if (it == regions_.end() || it->real != real)
+        panic("tracer: unmapping unregistered region %p", p);
+    regions_.erase(it);
+    lastRegion_ = 0;
+}
+
+Addr
+Tracer::synthetic(Pc pc, const void *p, std::size_t size)
+{
+    auto a = reinterpret_cast<std::uintptr_t>(p);
+    if (lastRegion_ < regions_.size()) {
+        const Region &r = regions_[lastRegion_];
+        if (a >= r.real && a + size <= r.end)
+            return r.synth + (a - r.real);
+    }
+    auto it = std::upper_bound(
+        regions_.begin(), regions_.end(), a,
+        [](std::uintptr_t x, const Region &r) { return x < r.real; });
+    if (it == regions_.begin() || a + size > std::prev(it)->end)
+        panic("tracer: %zu-byte access at %p (site %s) is outside every "
+              "registered region",
+              size, p, siteName(pc).c_str());
+    --it;
+    lastRegion_ = static_cast<std::size_t>(it - regions_.begin());
+    return it->synth + (a - it->real);
+}
+
+void
+Tracer::memAccess(TraceOp op, Pc pc, const void *p, std::size_t size,
                   bool dependent)
 {
+    if (size == 0)
+        return;
+    Addr a = synthetic(pc, p, size);
     // Split accesses at line boundaries so the replay engine never sees
     // a record spanning two lines. The first chunk carries the whole
     // access's instruction cost (a run of 8-byte moves) and, for
     // loads, the dependent flag; the rest are continuation accesses.
-    std::uint16_t insts =
-        static_cast<std::uint16_t>(size ? (size + 7) / 8 : 1);
+    std::uint16_t insts = static_cast<std::uint16_t>((size + 7) / 8);
     bool first = true;
     while (size > 0) {
         Addr line_end = geom_.lineAddr(a) + geom_.lineBytes();
@@ -90,7 +148,7 @@ Tracer::openEpoch(bool add_spawn_overhead)
     }
     if (add_spawn_overhead && opts_.parallelMode &&
         opts_.spawnOverheadInsts > 0) {
-        static const Site spawn_site("tls.spawn_epoch");
+        constexpr Site spawn_site{SiteId::TlsSpawnEpoch};
         append({TraceOp::Compute, 0,
                 static_cast<std::uint16_t>(ComputeClass::Int),
                 spawn_site.pc, opts_.spawnOverheadInsts});
@@ -206,7 +264,7 @@ Tracer::latchAcquire(Pc pc, std::uint64_t latch_id)
         return;
     if (escapeDepth_ == 0)
         panic("latchAcquire outside an escaped region (site %s)",
-              SiteRegistry::instance().name(pc).c_str());
+              siteName(pc).c_str());
     append({TraceOp::LatchAcquire, 0, 0, pc, latch_id});
 }
 
@@ -217,7 +275,7 @@ Tracer::latchRelease(Pc pc, std::uint64_t latch_id)
         return;
     if (escapeDepth_ == 0)
         panic("latchRelease outside an escaped region (site %s)",
-              SiteRegistry::instance().name(pc).c_str());
+              siteName(pc).c_str());
     append({TraceOp::LatchRelease, 0, 0, pc, latch_id});
 }
 
@@ -261,6 +319,47 @@ Tracer::takeWorkload()
     captureEpochs_ = 0;
     captureBufReuses_ = 0;
     return out;
+}
+
+TracedRegion::TracedRegion(Tracer &tracer, const void *base,
+                           std::size_t bytes, std::size_t align)
+    : TracedRegion((tracer.nextData_ + align - 1) / align * align, tracer,
+                   base)
+{
+    if (synth_ + bytes > Tracer::kFramesBase)
+        panic("tracer: data area full (%zu more bytes)", bytes);
+    tracer.mapRegion(base, bytes, synth_);
+    tracer.nextData_ = synth_ + bytes;
+}
+
+TracedRegion
+TracedRegion::frames(Tracer &tracer, const void *base,
+                     std::uint64_t first_page, std::size_t pages,
+                     std::size_t page_bytes)
+{
+    Addr synth = Tracer::kFramesBase + first_page * page_bytes;
+    tracer.mapRegion(base, pages * page_bytes, synth);
+    return TracedRegion(synth, tracer, base);
+}
+
+TracedRegion &
+TracedRegion::operator=(TracedRegion &&o) noexcept
+{
+    if (this != &o) {
+        if (tracer_)
+            tracer_->unmapRegion(base_);
+        tracer_ = o.tracer_;
+        base_ = o.base_;
+        synth_ = o.synth_;
+        o.tracer_ = nullptr;
+    }
+    return *this;
+}
+
+TracedRegion::~TracedRegion()
+{
+    if (tracer_)
+        tracer_->unmapRegion(base_);
 }
 
 } // namespace tlsim

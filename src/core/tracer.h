@@ -11,6 +11,15 @@
  * (the paper's SEQUENTIAL binary); when true, iterations become epochs
  * and each epoch is charged the TLS spawn overhead (the paper's
  * TLS-SEQ / parallel binaries).
+ *
+ * The tracer alone knows the address layout. A trace records no heap
+ * or stack address: each traced pointer is mapped, through the regions
+ * its owners registered (TracedRegion), to a fixed synthetic address
+ * below 4 GB, so a capture is a pure function of its workload, seeds
+ * and build. The synthetic space holds the site PCs from kCodeBase
+ * (core/site.h), the registered objects from kDataBase, laid out
+ * back to back in registration order like a bump allocator, and the
+ * buffer pool's page frames at kFramesBase + page id * page size.
  */
 
 #ifndef CORE_TRACER_H
@@ -18,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "base/addr.h"
 #include "base/types.h"
@@ -55,14 +65,21 @@ class Tracer
     /** Move the capture out and reset. */
     WorkloadTrace takeWorkload();
 
+    /** Start of the bump-allocated object regions. */
+    static constexpr Addr kDataBase = 0x1000'0000;
+    /** Synthetic address of page 0's frame. */
+    static constexpr Addr kFramesBase = 0x4000'0000;
+    /** End of the synthetic address space (4 GB). */
+    static constexpr Addr kSpaceEnd = Addr{1} << 32;
+
     // --- Events (database code) --------------------------------------
+    /** Trace a load of [p, p + size), which must lie in one region. */
     void
     load(Pc pc, const void *p, std::size_t size, bool dependent = false)
     {
         if (!capturing_)
             return;
-        memAccess(TraceOp::Load, pc, reinterpret_cast<Addr>(p), size,
-                  dependent);
+        memAccess(TraceOp::Load, pc, p, size, dependent);
     }
 
     void
@@ -70,8 +87,7 @@ class Tracer
     {
         if (!capturing_)
             return;
-        memAccess(TraceOp::Store, pc, reinterpret_cast<Addr>(p), size,
-                  false);
+        memAccess(TraceOp::Store, pc, p, size, false);
     }
 
     /**
@@ -116,7 +132,22 @@ class Tracer
     bool parallelMode() const { return opts_.parallelMode; }
 
   private:
-    void memAccess(TraceOp op, Pc pc, Addr a, std::size_t size,
+    friend class TracedRegion;
+
+    /** Real [real, end) mapped to synthetic [synth, synth + end - real). */
+    struct Region
+    {
+        std::uintptr_t real;
+        std::uintptr_t end;
+        Addr synth;
+    };
+
+    void mapRegion(const void *p, std::size_t bytes, Addr synth);
+    void unmapRegion(const void *p);
+    /** Synthetic address of [p, p + size); panics if unregistered. */
+    Addr synthetic(Pc pc, const void *p, std::size_t size);
+
+    void memAccess(TraceOp op, Pc pc, const void *p, std::size_t size,
                    bool dependent);
     void append(const TraceRecord &rec);
     void openSection(bool parallel);
@@ -142,11 +173,62 @@ class Tracer
     std::uint64_t captureEpochs_ = 0;
     std::uint64_t captureBufReuses_ = 0;
 
+    std::vector<Region> regions_; ///< sorted by real address
+    std::size_t lastRegion_ = 0;  ///< last hit (accesses cluster)
+    Addr nextData_ = kDataBase;   ///< bump cursor
+
     bool capturing_ = false;  ///< inside txnBegin/txnEnd
     bool inLoop_ = false;     ///< inside a marked parallel loop
     bool pendingLoop_ = false;///< loopBegin seen, first iterBegin not yet
     unsigned escapeDepth_ = 0;
     std::uint32_t escapeBeginIdx_ = 0;
+};
+
+/**
+ * A traced object's claim on the synthetic address space: maps the
+ * real range [base, base + bytes) while it lives. An owner registers
+ * each traced word and buffer at construction, always in the same
+ * order, so the layout is the same in every process; the tracer panics
+ * on an access to memory no live region covers.
+ */
+class TracedRegion
+{
+  public:
+    TracedRegion() = default;
+
+    /** The next `bytes` of the data area, aligned to `align`. */
+    TracedRegion(Tracer &tracer, const void *base, std::size_t bytes,
+                 std::size_t align = 16);
+
+    /** `pages` page frames of `page_bytes` holding pages first_page,
+     *  first_page + 1, ...: kFramesBase + page id * page_bytes. */
+    static TracedRegion frames(Tracer &tracer, const void *base,
+                               std::uint64_t first_page,
+                               std::size_t pages, std::size_t page_bytes);
+
+    TracedRegion(TracedRegion &&o) noexcept
+        : tracer_(o.tracer_), base_(o.base_), synth_(o.synth_)
+    {
+        o.tracer_ = nullptr;
+    }
+    TracedRegion &operator=(TracedRegion &&o) noexcept;
+    TracedRegion(const TracedRegion &) = delete;
+    TracedRegion &operator=(const TracedRegion &) = delete;
+
+    ~TracedRegion();
+
+    /** The synthetic address `base` maps to. */
+    Addr synthetic() const { return synth_; }
+
+  private:
+    TracedRegion(Addr synth, Tracer &tracer, const void *base)
+        : tracer_(&tracer), base_(base), synth_(synth)
+    {
+    }
+
+    Tracer *tracer_ = nullptr;
+    const void *base_ = nullptr;
+    Addr synth_ = 0;
 };
 
 /**

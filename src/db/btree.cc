@@ -22,7 +22,8 @@ childBytes(PageId pid)
 
 BTree::BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
              std::string name)
-    : pool_(pool), tr_(tracer), cfg_(cfg), name_(std::move(name))
+    : pool_(pool), tr_(tracer), cfg_(cfg), name_(std::move(name)),
+      region_(tracer, this, sizeof(*this))
 {
     root_ = pool_.allocPage(0);
 }
@@ -30,7 +31,7 @@ BTree::BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
 BTree::BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
              std::string name, PageId root, std::uint64_t count)
     : pool_(pool), tr_(tracer), cfg_(cfg), name_(std::move(name)),
-      root_(root), count_(count)
+      root_(root), count_(count), region_(tracer, this, sizeof(*this))
 {
 }
 
@@ -55,8 +56,8 @@ BTree::height() const
 void
 BTree::latchNode(Page &p, bool write)
 {
-    static const Site s_latch("btree.page_latch.acquire");
-    static const Site s_spin("btree.page_latch.spin_word");
+    constexpr Site s_latch{SiteId::BtreePageLatchAcquire};
+    constexpr Site s_spin{SiteId::BtreePageLatchSpinWord};
     (void)write;
     if (cfg_.tuned) {
         EscapedRegion esc(tr_, s_latch.pc);
@@ -75,8 +76,8 @@ BTree::latchNode(Page &p, bool write)
 void
 BTree::unlatchNode(Page &p)
 {
-    static const Site s_unlatch("btree.page_latch.release");
-    static const Site s_spin("btree.page_latch.spin_word");
+    constexpr Site s_unlatch{SiteId::BtreePageLatchRelease};
+    constexpr Site s_spin{SiteId::BtreePageLatchSpinWord};
     if (cfg_.tuned) {
         EscapedRegion esc(tr_, s_unlatch.pc);
         tr_.latchRelease(s_unlatch.pc, pageLatch(p.hdr().id));
@@ -89,8 +90,8 @@ BTree::unlatchNode(Page &p)
 std::pair<unsigned, bool>
 BTree::searchTraced(Page &p, BytesView key)
 {
-    static const Site s_hdr("btree.search.node_header");
-    static const Site s_cmp("btree.search.key_compare");
+    constexpr Site s_hdr{SiteId::BtreeSearchNodeHeader};
+    constexpr Site s_cmp{SiteId::BtreeSearchKeyCompare};
 
     tr_.load(s_hdr.pc, p.headerAddr(), sizeof(PageHeader));
     tr_.compute(s_hdr.pc, 40);
@@ -132,8 +133,8 @@ BTree::routeSlot(Page &p, BytesView key)
 PageId
 BTree::descendTraced(BytesView key)
 {
-    static const Site s_root("btree.descend.root_ptr");
-    static const Site s_child("btree.descend.child_ptr");
+    constexpr Site s_root{SiteId::BtreeDescendRootPtr};
+    constexpr Site s_child{SiteId::BtreeDescendChildPtr};
 
     tr_.load(s_root.pc, &root_, sizeof(root_));
     tr_.compute(s_root.pc, cost::kDescendLevel);
@@ -183,7 +184,7 @@ BTree::traceCellWrite(Page &p, unsigned idx, Pc pc)
 bool
 BTree::get(BytesView key, Bytes *val)
 {
-    static const Site s_get("btree.get.leaf_read");
+    constexpr Site s_get{SiteId::BtreeGetLeafRead};
     PageId leaf = descendTraced(key);
     Page p = pool_.fetch(leaf, true);
     latchNode(p, false);
@@ -219,7 +220,7 @@ BTree::put(BytesView key, BytesView val, bool allow_update)
     SplitResult sr =
         insertRec(root_, key, val, allow_update, &updated, &inserted);
     if (sr.split) {
-        static const Site s_newroot("btree.split.new_root");
+        constexpr Site s_newroot{SiteId::BtreeSplitNewRoot};
         Page old_root(pool_.frameAddr(root_));
         PageId new_root =
             pool_.allocPage(old_root.hdr().level + 1);
@@ -240,10 +241,10 @@ BTree::SplitResult
 BTree::insertRec(PageId pid, BytesView key, BytesView val,
                  bool allow_update, bool *updated, bool *inserted)
 {
-    static const Site s_upd("btree.put.value_update");
-    static const Site s_ins("btree.put.leaf_insert");
-    static const Site s_child("btree.descend.child_ptr");
-    static const Site s_pins("btree.put.parent_insert");
+    constexpr Site s_upd{SiteId::BtreePutValueUpdate};
+    constexpr Site s_ins{SiteId::BtreePutLeafInsert};
+    constexpr Site s_child{SiteId::BtreeDescendChildPtr};
+    constexpr Site s_pins{SiteId::BtreePutParentInsert};
 
     Page p = pool_.fetch(pid, pid != root_);
     if (p.leaf()) {
@@ -333,7 +334,7 @@ BTree::SplitResult
 BTree::splitAndInsert(Page &p, PageId pid, unsigned idx, BytesView key,
                       BytesView val)
 {
-    static const Site s_split("btree.split.distribute");
+    constexpr Site s_split{SiteId::BtreeSplitDistribute};
     (void)pid;
 
     // Choose the split point by *bytes*, over the combined sequence of
@@ -415,7 +416,7 @@ BTree::splitAndInsert(Page &p, PageId pid, unsigned idx, BytesView key,
 bool
 BTree::erase(BytesView key)
 {
-    static const Site s_del("btree.erase.leaf_remove");
+    constexpr Site s_del{SiteId::BtreeEraseLeafRemove};
     PageId leaf = descendTraced(key);
     Page p = pool_.fetch(leaf, true);
     latchNode(p, true);
@@ -439,7 +440,7 @@ BTree::erase(BytesView key)
 bool
 BTree::Cursor::seek(BytesView key)
 {
-    static const Site s_seek("btree.cursor.seek");
+    constexpr Site s_seek{SiteId::BtreeCursorSeek};
     tree_.tr_.compute(s_seek.pc, cost::kCursorSetup);
     page_ = tree_.descendTraced(key);
     Page p = tree_.pool_.fetch(page_, true);
@@ -456,7 +457,7 @@ BTree::Cursor::seek(BytesView key)
 bool
 BTree::Cursor::skipToNonEmpty()
 {
-    static const Site s_sib("btree.cursor.next_leaf");
+    constexpr Site s_sib{SiteId::BtreeCursorNextLeaf};
     for (;;) {
         Page p(tree_.pool_.frameAddr(page_));
         if (idx_ < p.slotCount())
@@ -477,7 +478,7 @@ BTree::Cursor::skipToNonEmpty()
 void
 BTree::Cursor::loadCurrent()
 {
-    static const Site s_read("btree.cursor.read_record");
+    constexpr Site s_read{SiteId::BtreeCursorReadRecord};
     Page p(tree_.pool_.frameAddr(page_));
     BytesView k = p.key(idx_);
     BytesView v = p.value(idx_);

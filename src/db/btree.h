@@ -122,6 +122,7 @@ class BTree
     std::string name_;
     PageId root_;
     std::uint64_t count_ = 0;
+    TracedRegion region_; ///< this object (the traced root_ word)
 };
 
 } // namespace db

@@ -7,7 +7,8 @@ namespace tlsim {
 namespace db {
 
 LockManager::LockManager(const DbConfig &cfg, Tracer &tracer)
-    : cfg_(cfg), tr_(tracer), table_(8192)
+    : cfg_(cfg), tr_(tracer), table_(8192),
+      tableRegion_(tracer, table_.data(), table_.size() * sizeof(Bucket))
 {
 }
 
@@ -33,7 +34,7 @@ LockManager::lock(TableId table, BytesView key, LockMode mode)
     ++locksTaken_;
     if (!cfg_.traceLocks)
         return bucketOf(table, key);
-    static const Site s_lock("lockmgr.lock_get");
+    constexpr Site s_lock{SiteId::LockmgrLockGet};
     (void)mode;
 
     std::uint32_t h = bucketOf(table, key);
@@ -62,7 +63,7 @@ LockManager::unlock(std::uint32_t handle)
 {
     if (!cfg_.traceLocks)
         return;
-    static const Site s_unlock("lockmgr.lock_put");
+    constexpr Site s_unlock{SiteId::LockmgrLockPut};
     Bucket &b = table_[handle];
     if (cfg_.tuned) {
         EscapedRegion esc(tr_, s_unlock.pc);

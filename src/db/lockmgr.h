@@ -50,6 +50,7 @@ class LockManager
     const DbConfig &cfg_;
     Tracer &tr_;
     std::vector<Bucket> table_;
+    TracedRegion tableRegion_;
     std::uint64_t locksTaken_ = 0;
 };
 

@@ -7,11 +7,13 @@ namespace tlsim {
 namespace db {
 
 LogManager::LogManager(const DbConfig &cfg, Tracer &tracer)
-    : cfg_(cfg), tr_(tracer), buffer_(kGlobalBufBytes / sizeof(Line))
+    : cfg_(cfg), tr_(tracer), buffer_(kGlobalBufBytes),
+      epochBufs_(kEpochBufs, std::vector<std::uint8_t>(kEpochBufBytes))
 {
-    epochBufs_.resize(kEpochBufs);
+    regions_.emplace_back(tracer, this, sizeof(*this));
+    regions_.emplace_back(tracer, buffer_.data(), buffer_.size(), 64);
     for (auto &b : epochBufs_)
-        b.resize(kEpochBufBytes / sizeof(Line));
+        regions_.emplace_back(tracer, b.data(), b.size(), 64);
 }
 
 void
@@ -19,10 +21,10 @@ LogManager::logRecord(unsigned bytes)
 {
     if (!cfg_.traceLog)
         return;
-    static const Site s_lsn("log.put.lsn_alloc");
-    static const Site s_tail("log.put.tail");
-    static const Site s_copy("log.put.copy");
-    static const Site s_local("log.put.epoch_local");
+    constexpr Site s_lsn{SiteId::LogPutLsnAlloc};
+    constexpr Site s_tail{SiteId::LogPutTail};
+    constexpr Site s_copy{SiteId::LogPutCopy};
+    constexpr Site s_local{SiteId::LogPutEpochLocal};
 
     unsigned insts = cost::kLogRecordBase + bytes * cost::kLogPerByte;
 
@@ -30,7 +32,7 @@ LogManager::logRecord(unsigned bytes)
         // Private per-epoch buffer: no shared state touched here.
         if (epochOff_ + bytes + 16 > kEpochBufBytes)
             epochOff_ = 0; // wrap within the private buffer
-        auto *dst = bytesOf(epochBufs_[curBuf_]) + epochOff_;
+        auto *dst = epochBufs_[curBuf_].data() + epochOff_;
         tr_.store(s_local.pc, dst, std::min(bytes + 16u, 64u));
         epochOff_ += bytes + 16;
         ++epochRecords_;
@@ -52,7 +54,7 @@ LogManager::logRecord(unsigned bytes)
     tailOff_ += bytes + 16;
     tr_.store(s_tail.pc, &tailOff_, sizeof(tailOff_));
 
-    tr_.store(s_copy.pc, bytesOf(buffer_) + off,
+    tr_.store(s_copy.pc, buffer_.data() + off,
               std::min(bytes + 16u, 64u));
     tr_.compute(s_copy.pc, insts);
 }
@@ -72,7 +74,7 @@ LogManager::linkEpochChain()
 {
     if (!cfg_.tuned || !cfg_.traceLog)
         return;
-    static const Site s_chain("log.publish.txn_chain");
+    constexpr Site s_chain{SiteId::LogPublishTxnChain};
     // Linking a batch into the transaction's undo/LSN chain reads the
     // previous batch's chain head: a true serial dependence between
     // concurrent epochs that tuning cannot remove. A violation here
@@ -91,7 +93,7 @@ LogManager::publishEpochRecords()
 {
     if (!cfg_.tuned || !cfg_.traceLog || epochRecords_ == 0)
         return;
-    static const Site s_pub("log.publish_epoch");
+    constexpr Site s_pub{SiteId::LogPublishEpoch};
 
     linkEpochChain();
 
@@ -116,7 +118,7 @@ LogManager::txnCommit()
 {
     if (!cfg_.traceLog)
         return;
-    static const Site s_commit("log.txn_commit");
+    constexpr Site s_commit{SiteId::LogTxnCommit};
     logRecord(32);
     tr_.compute(s_commit.pc, cost::kTxnCommit);
 }

@@ -79,20 +79,11 @@ class LogManager
     std::uint64_t tailOff_ = 0;
     std::uint64_t chainHead_ = 0; ///< per-txn undo/LSN chain head
 
-    /** Log buffer storage, cache-line aligned so where a traced copy
-     *  splits at line boundaries does not depend on the heap. */
-    struct alignas(64) Line
-    {
-        std::uint8_t bytes[64];
-    };
-    static std::uint8_t *
-    bytesOf(std::vector<Line> &buf)
-    {
-        return reinterpret_cast<std::uint8_t *>(buf.data());
-    }
-
-    std::vector<Line> buffer_;
-    std::vector<std::vector<Line>> epochBufs_;
+    std::vector<std::uint8_t> buffer_;
+    std::vector<std::vector<std::uint8_t>> epochBufs_;
+    /** This object (the LSN, tail and chain words), the global
+     *  buffer, then each epoch buffer; buffers start on a line. */
+    std::vector<TracedRegion> regions_;
     unsigned curBuf_ = 0;
     std::uint64_t epochOff_ = 0;
     unsigned epochRecords_ = 0;

@@ -23,10 +23,10 @@ using db::Bytes;
 void
 TpccDb::txnDelivery(const DeliveryInput &in, bool outer_parallel)
 {
-    static const Site s_glue("tpcc.delivery.setup");
-    static const Site s_find("tpcc.delivery.find_oldest");
-    static const Site s_line("tpcc.delivery.update_line");
-    static const Site s_cust("tpcc.delivery.credit_customer");
+    constexpr Site s_glue{SiteId::TpccDeliverySetup};
+    constexpr Site s_find{SiteId::TpccDeliveryFindOldest};
+    constexpr Site s_line{SiteId::TpccDeliveryUpdateLine};
+    constexpr Site s_cust{SiteId::TpccDeliveryCreditCustomer};
 
     db::Txn txn = db_.begin();
     tr_.compute(s_glue.pc, 900);

@@ -18,9 +18,9 @@ using db::Bytes;
 void
 TpccDb::txnNewOrder(const NewOrderInput &in)
 {
-    static const Site s_glue("tpcc.neworder.setup");
-    static const Site s_line("tpcc.neworder.line_glue");
-    static const Site s_total("tpcc.neworder.totals");
+    constexpr Site s_glue{SiteId::TpccNeworderSetup};
+    constexpr Site s_line{SiteId::TpccNeworderLineGlue};
+    constexpr Site s_total{SiteId::TpccNeworderTotals};
 
     db::Txn txn = db_.begin();
     tr_.compute(s_glue.pc, 900);

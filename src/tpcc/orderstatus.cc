@@ -17,8 +17,8 @@ using db::Bytes;
 void
 TpccDb::txnOrderStatus(const OrderStatusInput &in)
 {
-    static const Site s_glue("tpcc.orderstatus.setup");
-    static const Site s_line("tpcc.orderstatus.read_line");
+    constexpr Site s_glue{SiteId::TpccOrderstatusSetup};
+    constexpr Site s_line{SiteId::TpccOrderstatusReadLine};
 
     db::Txn txn = db_.begin();
     tr_.compute(s_glue.pc, 700);

@@ -23,8 +23,8 @@ TpccDb::customerByName(db::Txn &txn, std::uint32_t d_id,
                        BytesView last, bool parallel_scan,
                        bool read_rows)
 {
-    static const Site s_scan("tpcc.cust_by_name.scan");
-    static const Site s_pick("tpcc.cust_by_name.pick_middle");
+    constexpr Site s_scan{SiteId::TpccCustByNameScan};
+    constexpr Site s_pick{SiteId::TpccCustByNamePickMiddle};
 
     Bytes lo = kCustomerName(d_id, last, 0);
     Bytes prefix = lo.substr(0, 4 + 16);
@@ -69,9 +69,9 @@ TpccDb::customerByName(db::Txn &txn, std::uint32_t d_id,
 void
 TpccDb::txnPayment(const PaymentInput &in)
 {
-    static const Site s_glue("tpcc.payment.setup");
-    static const Site s_hist("tpcc.payment.history_seq");
-    static const Site s_bc("tpcc.payment.bad_credit_data");
+    constexpr Site s_glue{SiteId::TpccPaymentSetup};
+    constexpr Site s_hist{SiteId::TpccPaymentHistorySeq};
+    constexpr Site s_bc{SiteId::TpccPaymentBadCreditData};
 
     db::Txn txn = db_.begin();
     tr_.compute(s_glue.pc, 800);

@@ -19,10 +19,10 @@ using db::Bytes;
 void
 TpccDb::txnStockLevel(const StockLevelInput &in)
 {
-    static const Site s_glue("tpcc.stocklevel.setup");
-    static const Site s_ord("tpcc.stocklevel.order_glue");
-    static const Site s_seen("tpcc.stocklevel.distinct_set");
-    static const Site s_count("tpcc.stocklevel.count");
+    constexpr Site s_glue{SiteId::TpccStocklevelSetup};
+    constexpr Site s_ord{SiteId::TpccStocklevelOrderGlue};
+    constexpr Site s_seen{SiteId::TpccStocklevelDistinctSet};
+    constexpr Site s_count{SiteId::TpccStocklevelCount};
 
     db::Txn txn = db_.begin();
     tr_.compute(s_glue.pc, 700);

@@ -141,7 +141,7 @@ TpccDb::TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg,
     t_.orderLine = db_.createTable("ORDER_LINE");
     t_.item = db_.createTable("ITEM");
     t_.stock = db_.createTable("STOCK");
-    stockSeenStamps_.assign(cfg_.items + 1, 0);
+    registerScratch();
 }
 
 TpccDb::TpccDb(const std::shared_ptr<const DbImage> &image,
@@ -150,7 +150,17 @@ TpccDb::TpccDb(const std::shared_ptr<const DbImage> &image,
       db_(image->db, std::move(db_cfg), tracer), tr_(tracer),
       t_(image->tables), historySeq_(image->historySeq)
 {
+    registerScratch();
+}
+
+void
+TpccDb::registerScratch()
+{
     stockSeenStamps_.assign(cfg_.items + 1, 0);
+    historyRegion_ = TracedRegion(tr_, &historySeq_, sizeof(historySeq_));
+    stockSeenRegion_ =
+        TracedRegion(tr_, stockSeenStamps_.data(),
+                     stockSeenStamps_.size() * sizeof(std::uint32_t));
 }
 
 std::shared_ptr<const DbImage>

@@ -155,6 +155,9 @@ class TpccDb
 
     bool tlsBuild() const { return db_.config().tuned; }
 
+    /** Size the STOCK LEVEL scratch and register the traced words. */
+    void registerScratch();
+
     friend struct DbImage;
 
     TpccConfig cfg_;
@@ -169,6 +172,9 @@ class TpccDb
      *  cross-epoch dependence the paper reports as irreducible). */
     std::uint32_t stockSeenStamp_ = 0;
     std::vector<std::uint32_t> stockSeenStamps_;
+    /** historySeq_ and stockSeenStamps_, registered after the tables
+     *  in both constructors (registration order is address layout). */
+    TracedRegion historyRegion_, stockSeenRegion_;
     std::uint32_t lastStockLevel_ = 0;
     std::uint64_t rollbacks_ = 0;
 };

@@ -207,7 +207,8 @@ replaySchedule(const ModelConfig &cfg,
     topts.parallelMode = true;
     topts.spawnOverheadInsts = 0; // records map 1:1 to model ops
     Tracer tracer(topts);
-    Pc pc = SiteRegistry::instance().intern("verify.modelcheck.bisim");
+    TracedRegion region(tracer, buf.data(), buf.size() * sizeof(buf[0]));
+    Pc pc = sitePc(SiteId::VerifyModelcheckBisim);
     tracer.txnBegin();
     tracer.loopBegin();
     for (const Program &p : programs) {
@@ -295,7 +296,7 @@ replaySchedule(const ModelConfig &cfg,
 
     // The machine reports violated lines in its own line numbering.
     const unsigned line_bytes = mcfg.mem.lineBytes;
-    auto base = reinterpret_cast<std::uintptr_t>(buf.data());
+    Addr base = region.synthetic();
     std::vector<Addr> want_lines;
     for (std::size_t i = 0; i < st.violatedLineCount(); ++i)
         want_lines.push_back(

@@ -22,7 +22,7 @@ class Builder
   public:
     Builder() : mem_(16384, 0)
     {
-        pc_ = SiteRegistry::instance().intern("ablation.site");
+        pc_ = sitePc(SiteId::AblationSite);
     }
 
     void *addr(std::size_t w) { return &mem_.at(w); }
@@ -34,6 +34,7 @@ class Builder
         Tracer::Options o;
         o.parallelMode = true;
         Tracer t(o);
+        TracedRegion region(t, mem_.data(), mem_.size() * sizeof(mem_[0]));
         t.txnBegin();
         t.loopBegin();
         for (const auto &b : bodies) {
@@ -233,7 +234,7 @@ TEST(DependencePredictor, SynchronizesRepeatOffenderLoads)
     // Three reader epochs all load through the same PC; the writer
     // violates the first. The predictor then synchronizes every later
     // instance of that PC, even the independent ones.
-    Pc hot = SiteRegistry::instance().intern("ablation.hot_load");
+    Pc hot = sitePc(SiteId::AblationHotLoad);
     auto writer = [&b](Tracer &t) {
         t.compute(b.pc(), 12000);
         t.store(b.pc(), b.addr(64), 8);

@@ -22,7 +22,7 @@ class LatchBuilder
   public:
     LatchBuilder() : mem_(8192, 0)
     {
-        pc_ = SiteRegistry::instance().intern("latch.test.site");
+        pc_ = sitePc(SiteId::LatchTestSite);
     }
 
     void *addr(std::size_t w) { return &mem_.at(w); }
@@ -44,6 +44,7 @@ class LatchBuilder
         Tracer::Options o;
         o.parallelMode = true;
         Tracer t(o);
+        TracedRegion region(t, mem_.data(), mem_.size() * sizeof(mem_[0]));
         t.txnBegin();
         t.loopBegin();
         for (const auto &b : bodies) {

@@ -24,11 +24,12 @@ WorkloadTrace
 randomWorkload(std::uint64_t seed, std::vector<std::uint64_t> &mem)
 {
     Rng rng(seed);
-    Pc pc = SiteRegistry::instance().intern("fuzz.site");
+    Pc pc = sitePc(SiteId::FuzzSite);
     Tracer::Options o;
     o.parallelMode = true;
     o.spawnOverheadInsts = 50;
     Tracer t(o);
+    TracedRegion region(t, mem.data(), mem.size() * sizeof(mem[0]));
 
     unsigned txns = 1 + static_cast<unsigned>(rng.uniform(0, 2));
     for (unsigned tx = 0; tx < txns; ++tx) {
@@ -136,7 +137,7 @@ class MachineProperty : public ::testing::TestWithParam<Params>
 TEST_P(MachineProperty, InvariantsHoldOnRandomWorkloads)
 {
     const Params p = GetParam();
-    auto mem = std::make_unique<std::vector<std::uint64_t>>(8192);
+    auto mem = std::make_unique<std::vector<std::uint64_t>>(16384);
     WorkloadTrace w = randomWorkload(p.seed, *mem);
 
     MachineConfig cfg;
@@ -206,7 +207,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MachineProperty,
  *  work with more sub-thread contexts, on average over seeds. */
 TEST(MachinePropertyAggregate, SubthreadsNeverIncreaseFailedWorkMuch)
 {
-    auto mem = std::make_unique<std::vector<std::uint64_t>>(8192);
+    auto mem = std::make_unique<std::vector<std::uint64_t>>(16384);
     std::uint64_t failed1 = 0, failed8 = 0;
     for (std::uint64_t seed = 100; seed < 110; ++seed) {
         WorkloadTrace w = randomWorkload(seed, *mem);

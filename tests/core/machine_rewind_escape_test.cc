@@ -24,7 +24,7 @@ class RewindBuilder
   public:
     RewindBuilder() : mem_(8192, 0)
     {
-        pc_ = SiteRegistry::instance().intern("rewind.escape.site");
+        pc_ = sitePc(SiteId::RewindEscapeSite);
     }
 
     void *addr(std::size_t w) { return &mem_.at(w); }
@@ -46,6 +46,7 @@ class RewindBuilder
         Tracer::Options o;
         o.parallelMode = true;
         Tracer t(o);
+        TracedRegion region(t, mem_.data(), mem_.size() * sizeof(mem_[0]));
         t.txnBegin();
         t.loopBegin();
         for (const auto &b : bodies) {

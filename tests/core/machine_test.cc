@@ -24,7 +24,9 @@ class TraceBuilder
         o.parallelMode = true;
         o.spawnOverheadInsts = 50;
         tracer_ = std::make_unique<Tracer>(o);
-        pc_ = SiteRegistry::instance().intern("test.machine.site");
+        memRegion_ = TracedRegion(*tracer_, mem_.data(),
+                                  mem_.size() * sizeof(mem_[0]));
+        pc_ = sitePc(SiteId::TestMachineSite);
     }
 
     void *addr(std::size_t word) { return &mem_.at(word); }
@@ -51,6 +53,7 @@ class TraceBuilder
   private:
     std::vector<std::uint64_t> mem_;
     std::unique_ptr<Tracer> tracer_;
+    TracedRegion memRegion_;
     Pc pc_;
 };
 
@@ -329,8 +332,8 @@ TEST(MachineTls, DeterministicAcrossRuns)
 TEST(MachineTls, ProfilerAttributesViolations)
 {
     TraceBuilder b;
-    Pc load_pc = SiteRegistry::instance().intern("test.machine.load");
-    Pc store_pc = SiteRegistry::instance().intern("test.machine.store");
+    Pc load_pc = sitePc(SiteId::TestMachineLoad);
+    Pc store_pc = sitePc(SiteId::TestMachineStore);
     auto writer = [&](Tracer &t) {
         t.compute(b.pc(), 9000);
         t.store(store_pc, b.addr(8000), 8);

@@ -74,8 +74,8 @@ TEST(DependenceProfiler, OverflowReclaimsCheapestEntry)
 
 TEST(DependenceProfiler, ReportTextResolvesSiteNames)
 {
-    Site load_site("test.profiler.load");
-    Site store_site("test.profiler.store");
+    constexpr Site load_site{SiteId::TestProfilerLoad};
+    constexpr Site store_site{SiteId::TestProfilerStore};
     DependenceProfiler p;
     p.recordViolation(load_site.pc, store_site.pc, 777);
     std::string text = p.reportText(5);

@@ -21,15 +21,17 @@ class IndexBuilder
   public:
     IndexBuilder() : mem_(16384, 0)
     {
-        pc_ = SiteRegistry::instance().intern("test.traceindex.site");
+        pc_ = sitePc(SiteId::TestTraceindexSite);
     }
 
     void *addr(std::size_t word) { return &mem_.at(word); }
 
+    /** mem_ is the one region of each loopTxn's fresh tracer, so it
+     *  starts the synthetic data area. */
     Addr lineOf(std::size_t word) const
     {
-        return LineGeom(kLineBytes).lineNum(
-            reinterpret_cast<Addr>(&mem_.at(word)));
+        return LineGeom(kLineBytes).lineNum(Tracer::kDataBase +
+                                            word * sizeof(mem_[0]));
     }
 
     WorkloadTrace
@@ -39,6 +41,7 @@ class IndexBuilder
         o.parallelMode = true;
         o.spawnOverheadInsts = 50;
         Tracer t(o);
+        TracedRegion region(t, mem_.data(), mem_.size() * sizeof(mem_[0]));
         t.txnBegin();
         t.compute(pc_, 100);
         t.loopBegin();

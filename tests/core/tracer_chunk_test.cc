@@ -54,8 +54,7 @@ TEST(TracerChunking, SubthreadsCanCheckpointInsideLongComputation)
 {
     // A single 40k-instruction computation must not prevent the
     // machine from spawning sub-threads along the way.
-    std::vector<std::uint64_t> mem(64);
-    Pc pc = SiteRegistry::instance().intern("chunk.test");
+    Pc pc = sitePc(SiteId::ChunkTest);
     Tracer::Options o;
     o.parallelMode = true;
     Tracer t(o);
@@ -78,10 +77,11 @@ TEST(Machine, MaximumContextConfigurationWorks)
 {
     // 8 CPUs x 8 sub-threads = 64 contexts: the SpecState limit.
     std::vector<std::uint64_t> mem(8192);
-    Pc pc = SiteRegistry::instance().intern("maxctx.test");
+    Pc pc = sitePc(SiteId::MaxctxTest);
     Tracer::Options o;
     o.parallelMode = true;
     Tracer t(o);
+    TracedRegion region(t, mem.data(), mem.size() * sizeof(mem[0]));
     t.txnBegin();
     t.loopBegin();
     for (int e = 0; e < 16; ++e) {

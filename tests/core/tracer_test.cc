@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/site.h"
 #include "core/tracer.h"
 
@@ -19,6 +21,7 @@ TEST(Tracer, DropsEventsOutsideTransactions)
 {
     Tracer t;
     int x = 0;
+    TracedRegion rx(t, &x, sizeof(x));
     t.load(1, &x, 4);
     t.compute(1, 50);
     EXPECT_TRUE(t.workload().txns.empty());
@@ -28,6 +31,7 @@ TEST(Tracer, SequentialCaptureIsOneSection)
 {
     Tracer t; // parallelMode off
     int x = 0;
+    TracedRegion rx(t, &x, sizeof(x));
     t.txnBegin();
     t.compute(1, 40);
     t.loopBegin(); // ignored without parallel mode
@@ -48,6 +52,7 @@ TEST(Tracer, ParallelLoopBecomesEpochs)
 {
     Tracer t(parallelOpts());
     int x = 0;
+    TracedRegion rx(t, &x, sizeof(x));
     t.txnBegin();
     t.compute(1, 10); // prologue
     t.loopBegin();
@@ -104,7 +109,8 @@ TEST(Tracer, EmptyLoopLeavesNoParallelSection)
 TEST(Tracer, WideAccessesSplitAtLineBoundaries)
 {
     Tracer t;
-    alignas(64) char buf[128];
+    char buf[128];
+    TracedRegion rb(t, buf, sizeof(buf), 64);
     t.txnBegin();
     t.load(1, buf + 24, 40); // crosses one 32B boundary
     t.txnEnd();
@@ -120,7 +126,8 @@ TEST(Tracer, WideAccessesSplitAtLineBoundaries)
 TEST(Tracer, DependentFlagOnlyOnFirstChunk)
 {
     Tracer t;
-    alignas(64) char buf[128];
+    char buf[128];
+    TracedRegion rb(t, buf, sizeof(buf), 64);
     t.txnBegin();
     t.load(1, buf, 64, true);
     t.txnEnd();
@@ -135,6 +142,7 @@ TEST(Tracer, EscapeSpansAndSpecCounts)
 {
     Tracer t(parallelOpts());
     int x = 0;
+    TracedRegion rx(t, &x, sizeof(x));
     t.txnBegin();
     t.loopBegin();
     t.iterBegin();
@@ -202,6 +210,7 @@ TEST(Tracer, TakeWorkloadRecyclesLoopStructureState)
     // section can never inherit a stale parallel context.
     Tracer t(parallelOpts());
     int x = 0;
+    TracedRegion rx(t, &x, sizeof(x));
     t.txnBegin();
     t.loopBegin();
     t.iterBegin();
@@ -219,6 +228,83 @@ TEST(Tracer, TakeWorkloadRecyclesLoopStructureState)
     ASSERT_EQ(second.txns[0].sections.size(), 1u);
     EXPECT_FALSE(second.txns[0].sections[0].parallel)
         << "loop state leaked across takeWorkload()";
+}
+
+TEST(Tracer, RegionsAreLaidOutInRegistrationOrder)
+{
+    Tracer t;
+    std::uint32_t word = 0;
+    std::vector<std::uint8_t> buf(100);
+    TracedRegion rw(t, &word, sizeof(word));
+    TracedRegion rb(t, buf.data(), buf.size(), 64);
+    EXPECT_EQ(rw.synthetic(), Tracer::kDataBase);
+    EXPECT_EQ(rb.synthetic(), Tracer::kDataBase + 64); // aligned up
+
+    t.txnBegin();
+    t.store(1, &word, 4);
+    t.load(1, &buf[70], 8);
+    t.txnEnd();
+    const auto &recs = t.workload().txns.at(0).sections.at(0)
+                           .epochs.at(0).records;
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].addr, Tracer::kDataBase);
+    EXPECT_EQ(recs[1].addr, rb.synthetic() + 70);
+}
+
+TEST(Tracer, FramesMapByPageId)
+{
+    Tracer t;
+    constexpr std::size_t kPage = 4096;
+    std::vector<std::uint8_t> frames(4 * kPage);
+    TracedRegion rf =
+        TracedRegion::frames(t, frames.data(), 9, 4, kPage);
+    EXPECT_EQ(rf.synthetic(), Tracer::kFramesBase + 9 * kPage);
+
+    t.txnBegin();
+    t.load(1, &frames[2 * kPage + 24], 8); // page 11, offset 24
+    t.txnEnd();
+    const auto &recs = t.workload().txns.at(0).sections.at(0)
+                           .epochs.at(0).records;
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].addr, Tracer::kFramesBase + 11 * kPage + 24);
+}
+
+TEST(Tracer, UnmappedRegionsFreeTheirRange)
+{
+    Tracer t;
+    int x = 0;
+    {
+        TracedRegion rx(t, &x, sizeof(x));
+    }
+    // Re-registering the same object maps it again, further on.
+    TracedRegion rx(t, &x, sizeof(x));
+    EXPECT_EQ(rx.synthetic(), Tracer::kDataBase + 16);
+}
+
+TEST(TracerDeathTest, UnregisteredPointerPanics)
+{
+    Tracer t;
+    int x = 0;
+    t.txnBegin();
+    EXPECT_DEATH(t.load(1, &x, 4), "outside every registered region");
+}
+
+TEST(TracerDeathTest, AccessPastItsRegionPanics)
+{
+    Tracer t;
+    std::uint64_t words[2] = {0, 0};
+    TracedRegion r(t, &words[0], sizeof(words[0]));
+    t.txnBegin();
+    EXPECT_DEATH(t.store(1, &words[0], 16), "outside every registered");
+}
+
+TEST(TracerDeathTest, OverlappingRegionsPanic)
+{
+    Tracer t;
+    std::uint64_t words[2] = {0, 0};
+    TracedRegion r(t, &words[0], sizeof(words));
+    EXPECT_DEATH(TracedRegion(t, &words[1], sizeof(words[1])),
+                 "overlaps");
 }
 
 TEST(TracerDeathTest, LatchOutsideEscapePanics)

@@ -41,7 +41,9 @@ class TraceBuilder
         o.parallelMode = true;
         o.spawnOverheadInsts = 50;
         tracer_ = std::make_unique<Tracer>(o);
-        pc_ = SiteRegistry::instance().intern("test.critpath.site");
+        memRegion_ = TracedRegion(*tracer_, mem_.data(),
+                                  mem_.size() * sizeof(mem_[0]));
+        pc_ = sitePc(SiteId::TestCritpathSite);
     }
 
     void *addr(std::size_t word) { return &mem_.at(word); }
@@ -67,6 +69,7 @@ class TraceBuilder
   private:
     std::vector<std::uint64_t> mem_;
     std::unique_ptr<Tracer> tracer_;
+    TracedRegion memRegion_;
     Pc pc_;
 };
 
@@ -320,7 +323,7 @@ TEST(CritpathAnalyzer, WarmupTransactionsAreExcluded)
     Tracer::Options o;
     o.parallelMode = true;
     Tracer t(o);
-    Pc pc = SiteRegistry::instance().intern("test.critpath.warm");
+    Pc pc = sitePc(SiteId::TestCritpathWarm);
     for (int txn = 0; txn < 2; ++txn) {
         t.txnBegin();
         t.loopBegin();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "core/tracer.h"
+#include "db/dbtypes.h"
 #include "db/keys.h"
 
 namespace tlsim {
@@ -89,8 +91,13 @@ TEST(DbTypes, LatchIdNamespacesDoNotCollide)
 {
     EXPECT_NE(pageLatch(1), namedLatch(kLatchLog));
     EXPECT_NE(namedLatch(kLatchBufPool), namedLatch(kLatchLog));
-    // Page ids are 32-bit: the named space sits above all of them.
-    EXPECT_LT(pageLatch(~std::uint32_t{0}), namedLatch(0));
+    // The named space sits above every page the synthetic address
+    // space has a frame for, and every latch id fits 32 bits.
+    EXPECT_LT(pageLatch(static_cast<PageId>(
+                  (Tracer::kSpaceEnd - Tracer::kFramesBase) / kPageSize)),
+              namedLatch(0));
+    EXPECT_LE(namedLatch(kLatchLockTable) + 16 + 255,
+              std::uint64_t{~std::uint32_t{0}});
 }
 
 } // namespace

@@ -15,10 +15,11 @@ namespace {
 WorkloadTrace
 sampleWorkload(std::vector<std::uint64_t> &mem)
 {
-    Pc pc = SiteRegistry::instance().intern("traceio.test.site");
+    Pc pc = sitePc(SiteId::TraceioTestSite);
     Tracer::Options o;
     o.parallelMode = true;
     Tracer t(o);
+    TracedRegion region(t, mem.data(), mem.size() * sizeof(mem[0]));
     t.txnBegin();
     t.compute(pc, 500);
     t.loopBegin();
@@ -143,7 +144,7 @@ TEST(TraceIo, FileRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(TraceIo, SiteNamesSurviveSerialization)
+TEST(TraceIo, PcsNameTheSameSitesAfterReload)
 {
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
@@ -151,10 +152,25 @@ TEST(TraceIo, SiteNamesSurviveSerialization)
     saveTrace(ss, w);
     WorkloadTrace back;
     ASSERT_TRUE(loadTrace(ss, &back));
-    // Same process: the remap is the identity, and the PC still
-    // resolves to the interned name.
     Pc pc = back.txns[0].sections[0].epochs[0].records[0].pc;
-    EXPECT_EQ(SiteRegistry::instance().name(pc), "traceio.test.site");
+    EXPECT_EQ(siteName(pc), "traceio.test.site");
+}
+
+TEST(TraceIo, RejectsAnotherSiteTable)
+{
+    std::vector<std::uint64_t> mem(256);
+    WorkloadTrace w = sampleWorkload(mem);
+    std::stringstream ss;
+    saveTrace(ss, w);
+    std::string bytes = ss.str();
+    // Header: magic, version (4 bytes each), then the table digest.
+    std::uint64_t digest = 0;
+    std::memcpy(&digest, bytes.data() + 8, sizeof(digest));
+    ASSERT_EQ(digest, siteTableDigest());
+    bytes[8] ^= 1;
+    std::stringstream other(bytes);
+    WorkloadTrace out;
+    EXPECT_FALSE(loadTrace(other, &out));
 }
 
 // --- Loader hardening: structurally malformed files are rejected with

@@ -195,8 +195,8 @@ dbConfig(bool tuned)
     return c;
 }
 
-/** The first difference between two captures in anything but the
- *  heap address of a Load/Store record; "" when there is none. */
+/** The first difference between two captures, addresses included;
+ *  "" when there is none. */
 std::string
 traceDiff(const WorkloadTrace &a, const WorkloadTrace &b)
 {
@@ -225,11 +225,9 @@ traceDiff(const WorkloadTrace &a, const WorkloadTrace &b)
                 for (std::size_t r = 0; r < ea.records.size(); ++r) {
                     const TraceRecord &x = ea.records[r];
                     const TraceRecord &y = eb.records[r];
-                    bool mem = x.op == TraceOp::Load ||
-                               x.op == TraceOp::Store;
                     if (x.op != y.op || x.size != y.size ||
                         x.aux != y.aux || x.pc != y.pc ||
-                        (!mem && x.addr != y.addr))
+                        x.addr != y.addr)
                         return ep + " record " + std::to_string(r);
                 }
             }

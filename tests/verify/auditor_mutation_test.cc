@@ -259,7 +259,9 @@ class TraceBuilder
         o.parallelMode = true;
         o.spawnOverheadInsts = 50;
         tracer_ = std::make_unique<Tracer>(o);
-        pc_ = SiteRegistry::instance().intern("test.verify.site");
+        memRegion_ = TracedRegion(*tracer_, mem_.data(),
+                                  mem_.size() * sizeof(mem_[0]));
+        pc_ = sitePc(SiteId::TestVerifySite);
     }
 
     void *addr(std::size_t word) { return &mem_.at(word); }
@@ -285,6 +287,7 @@ class TraceBuilder
   private:
     std::vector<std::uint64_t> mem_;
     std::unique_ptr<Tracer> tracer_;
+    TracedRegion memRegion_;
     Pc pc_;
 };
 

@@ -199,7 +199,8 @@ scenarioTrace(std::vector<std::uint64_t> &buf)
     topts.parallelMode = true;
     topts.spawnOverheadInsts = 0;
     Tracer tracer(topts);
-    Pc pc = SiteRegistry::instance().intern("verify.fig4b.test");
+    TracedRegion region(tracer, buf.data(), buf.size() * sizeof(buf[0]));
+    Pc pc = sitePc(SiteId::VerifyFig4bTest);
     tracer.txnBegin();
     tracer.loopBegin();
     // e0: Store line0
