@@ -19,9 +19,8 @@
  *  - PAYMENT and ORDER STATUS do not improve (coverage-bound).
  *
  * This program is the Figure 5 front end. Each benchmark is captured
- * once (or reloaded from --trace-cache), serially up front, since
- * synthetic-PC assignment is interning-order dependent; the captures
- * of a cold run share one loaded TPC-C database. The
+ * once (or reloaded from --trace-cache), serially up front; the
+ * captures of a cold run share one loaded TPC-C database. The
  * (benchmark x bar) simulation points then fan out across --jobs
  * workers, each through sim::runBar, which attaches the --audit
  * auditor. Results land in index-assigned slots, so the report is

@@ -13,7 +13,8 @@ namespace tlsim {
 /** A simulated cycle count (global time base of the CMP). */
 using Cycle = std::uint64_t;
 
-/** A simulated memory address. Traces carry real host heap addresses. */
+/** A simulated memory address: traces carry the tracer's synthetic
+ *  addresses, all below 4 GB (core/tracer.h). */
 using Addr = std::uint64_t;
 
 /** A (synthetic) program counter identifying a static code site. */

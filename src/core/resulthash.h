@@ -58,11 +58,9 @@ hashRunResult(const RunResult &r)
 
 /**
  * Digest of a captured workload: every record byte-for-byte plus the
- * section/epoch structure. Two processes sharing a --trace-cache
- * replay the same capture and therefore agree on this digest; a fresh
- * capture embeds process-specific heap addresses, so capture-stage
- * digests are only comparable across runs sharing a cache (exactly
- * the golden/det ctest setup).
+ * section/epoch structure. A capture holds synthetic addresses and
+ * compiled site PCs only, so every process, cold or warm, agrees on
+ * it.
  */
 inline std::uint64_t
 hashWorkloadTrace(const WorkloadTrace &w)

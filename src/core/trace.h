@@ -3,12 +3,12 @@
  * Trace representation for the trace-driven TLS simulation.
  *
  * The TPC-C transactions execute natively against minidb; every access
- * to database memory is recorded as a TraceRecord carrying the *real*
- * heap address touched, so the cross-epoch data dependences in the
- * trace are the database's real dependences. Pure computation is
- * aggregated into Compute records with per-site instruction costs, and
- * control flow at marked sites becomes Branch records that feed the
- * GShare predictor during replay.
+ * to database memory is recorded as a TraceRecord naming the object
+ * touched by its synthetic address (core/tracer.h), so the cross-epoch
+ * data dependences in the trace are the database's real dependences.
+ * Pure computation is aggregated into Compute records with per-site
+ * instruction costs, and control flow at marked sites becomes Branch
+ * records that feed the GShare predictor during replay.
  *
  * A transaction's trace is a sequence of sections; each section is
  * either non-speculative straight-line work or a parallelized loop
@@ -56,7 +56,7 @@ inline constexpr std::uint16_t kAuxTaken = 1;
  * For memory records, aux bits 1.. carry the dynamic-instruction cost
  * of the access. The tracer computes it from the access's *total* size
  * and charges it to the first line-split chunk (continuation chunks
- * cost zero), so instruction counts never depend on how a heap address
+ * cost zero), so instruction counts never depend on how an address
  * happens to align against cache-line boundaries.
  */
 inline constexpr unsigned kAuxInstShift = 1;

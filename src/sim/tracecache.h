@@ -10,9 +10,7 @@
  * Figure 5 loads one database instead of fourteen. With a cache
  * directory, each (benchmark, config) pair is captured exactly once
  * and every later run — in this process or another — replays the
- * same bytes, which also makes bench *output* byte-identical across
- * processes (a fresh capture records raw heap addresses, which change
- * between processes; a reloaded trace does not).
+ * same bytes a fresh capture would record.
  *
  * Thread safety: captureTracesShared() may be called from concurrent
  * executor tasks. Calls for the same cache stem are serialized
@@ -69,7 +67,7 @@ struct CaptureRequest
  * uses its own and drops the images once its captures are done, before
  * the indexes are built: a warm batch loads none, a cold one loads
  * each once, and no image outlives the call. Captures and loads run in
- * request order on the caller (site interning is order-dependent); the
+ * request order on the caller; the
  * indexes, a pure function of each trace, are built across `ex` when
  * given.
  */

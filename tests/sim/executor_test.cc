@@ -189,10 +189,9 @@ class ParallelDeterminism
 {
 };
 
-// A fresh capture records raw heap addresses, which differ between
-// captures even within one process, so the serial reference must run
-// over the SAME captured traces as the parallel sweep — exactly the
-// contract the benches rely on (capture once, fan the replays out).
+// The serial reference runs over the SAME captured traces as the
+// parallel sweep — exactly the contract the benches rely on (capture
+// once, fan the replays out).
 
 TEST_P(ParallelDeterminism, Figure6ParallelMatchesSerial)
 {
