@@ -233,7 +233,8 @@ configFor(tpcc::TxnType type, const BenchArgs &args)
  *       "jobs": 2,
  *       "wall_seconds": 1.23,
  *       "simulated_cycles": 4.56e8,
- *       "capture": {"db_loads": 1, "captures": 14, "hits": 0},
+ *       "capture": {"db_loads": 1, "captures": 14, "hits": 0,
+ *                   "corrupt": 0},
  *       "results": [ {"name": "...", "<metric>": <number>, ...}, ... ]
  *     }
  *
@@ -406,13 +407,16 @@ class BenchReport
                 os << ", \"" << escape(name.substr(7)) << "\": " << val;
         }
         os << "},\n";
-        // Capture work: TPC-C databases loaded, traces captured, and
-        // benchmarks whose traces the trace cache supplied.
+        // Capture work: TPC-C databases loaded, traces captured,
+        // benchmarks whose traces the trace cache supplied, and those
+        // whose cached files it rejected as damaged.
         const auto &gc = stats::GlobalCounters::instance();
         os << "  \"capture\": {\"db_loads\": "
            << gc.value("tpcc.db_loads")
            << ", \"captures\": " << gc.value("tpcc.captures")
-           << ", \"hits\": " << gc.value("tracecache.hit") << "},\n";
+           << ", \"hits\": " << gc.value("tracecache.hit")
+           << ", \"corrupt\": " << gc.value("tracecache.corrupt")
+           << "},\n";
         std::string rendered = renderResults();
         if (probe_.enabled()) {
             // The serialize-stage digest covers the exact bytes about

@@ -1,78 +1,37 @@
 #include "sim/tracecache.h"
 
 #include <filesystem>
-#include <map>
 #include <memory>
 
+#include "base/dethash.h"
 #include "base/log.h"
 #include "base/stats.h"
-#include "base/sync.h"
-#include "base/threadannot.h"
+#include "core/site.h"
 #include "sim/traceio.h"
 
 namespace tlsim {
 namespace sim {
 
+std::string
+traceCacheKey(tpcc::TxnType type, const ExperimentConfig &cfg)
+{
+    det::Hash k;
+    k.u64(kTraceVersion);
+    k.u64(siteTableDigest());
+    k.str(tpcc::txnTypeName(type));
+    k.u64(cfg.scale.items);
+    k.u64(cfg.scale.districts);
+    k.u64(cfg.scale.customersPerDistrict);
+    k.u64(cfg.scale.ordersPerDistrict);
+    k.u64(cfg.scale.firstNewOrder);
+    k.u64(cfg.txns);
+    k.u64(cfg.inputSeed);
+    k.u64(cfg.loadSeed);
+    k.u64(cfg.machine.tls.spawnOverheadInsts);
+    return k.hex();
+}
+
 namespace {
-
-/**
- * Per-stem capture serialization. Two simulation points wanting the
- * same (benchmark, config) capture used to race the load-or-capture
- * sequence: both would miss, both would run the expensive capture, and
- * both would write the same .trace files concurrently — a torn
- * file for any later reader. Callers now hold the stem's mutex across
- * the whole sequence, so the first caller captures and everyone else
- * loads the finished bytes ("single-flight"). Distinct stems stay
- * fully parallel; the registry lock only covers the map probe.
- */
-class StemLocks
-{
-  public:
-    static StemLocks &instance()
-    {
-        static StemLocks locks;
-        return locks;
-    }
-
-    /** The (process-lifetime) mutex serializing work on `stem`. */
-    Mutex &forStem(const std::string &stem) TLSIM_EXCLUDES(mtx_)
-    {
-        MutexLock lk(mtx_);
-        auto &slot = locks_[stem];
-        if (!slot)
-            slot = std::make_unique<Mutex>();
-        return *slot;
-    }
-
-  private:
-    Mutex mtx_;
-    std::map<std::string, std::unique_ptr<Mutex>> locks_
-        TLSIM_GUARDED_BY(mtx_);
-};
-
-/** FNV-1a, accumulated field by field. */
-struct KeyHash
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    mix(const char *s)
-    {
-        for (; *s; ++s) {
-            h ^= static_cast<unsigned char>(*s);
-            h *= 1099511628211ull;
-        }
-    }
-};
 
 std::string
 fileStem(tpcc::TxnType type, const ExperimentConfig &cfg)
@@ -83,28 +42,6 @@ fileStem(tpcc::TxnType type, const ExperimentConfig &cfg)
             c = '_';
     return name + "-" + traceCacheKey(type, cfg);
 }
-
-} // namespace
-
-std::string
-traceCacheKey(tpcc::TxnType type, const ExperimentConfig &cfg)
-{
-    KeyHash k;
-    k.mix(kTraceVersion);
-    k.mix(tpcc::txnTypeName(type));
-    k.mix(cfg.scale.items);
-    k.mix(cfg.scale.districts);
-    k.mix(cfg.scale.customersPerDistrict);
-    k.mix(cfg.scale.ordersPerDistrict);
-    k.mix(cfg.scale.firstNewOrder);
-    k.mix(cfg.txns);
-    k.mix(cfg.inputSeed);
-    k.mix(cfg.loadSeed);
-    k.mix(cfg.machine.tls.spawnOverheadInsts);
-    return strfmt("%016llx", static_cast<unsigned long long>(k.h));
-}
-
-namespace {
 
 /**
  * Load the trace pair for (type, cfg) from `cache_dir`, or capture it
@@ -119,10 +56,8 @@ loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
         return std::make_shared<BenchmarkTraces>(captureTraces(
             type, cfg, images.get(cfg.scale, cfg.loadSeed)));
     };
-    if (cache_dir.empty()) {
-        stats::GlobalCounters::instance().add("tracecache.bypass");
+    if (cache_dir.empty())
         return capture();
-    }
 
     namespace fs = std::filesystem;
     std::string stem =
@@ -130,23 +65,25 @@ loadOrCapture(tpcc::TxnType type, const ExperimentConfig &cfg,
     std::string orig_path = stem + ".orig.trace";
     std::string tls_path = stem + ".tls.trace";
 
-    // Single-flight: concurrent callers of the same stem serialize
-    // here; the first one through captures (or loads) and the rest
-    // load the files it finished writing.
-    MutexLock stem_lock(StemLocks::instance().forStem(stem));
-
+    // The key names the format version and site table, so a file
+    // under this stem that does not load is damaged: say so, count
+    // it, and capture afresh. Files are written by rename, so a
+    // concurrent writer of the same stem is never seen half done.
     if (fs::exists(orig_path) && fs::exists(tls_path)) {
         auto traces = std::make_shared<BenchmarkTraces>();
-        WorkloadTrace orig, tls;
-        if (loadTraceFile(orig_path, &orig) &&
-            loadTraceFile(tls_path, &tls)) {
-            traces->original = std::move(orig);
-            traces->tls = std::move(tls);
+        const std::string *path = &orig_path;
+        std::string why = readTraceFile(*path, &traces->original);
+        if (why.empty()) {
+            path = &tls_path;
+            why = readTraceFile(*path, &traces->tls);
+        }
+        if (why.empty()) {
             stats::GlobalCounters::instance().add("tracecache.hit");
             return traces;
         }
-        inform("trace cache: %s has a foreign format, re-capturing",
-               stem.c_str());
+        warn("trace cache: %s: %s; re-capturing", path->c_str(),
+             why.c_str());
+        stats::GlobalCounters::instance().add("tracecache.corrupt");
     }
 
     std::error_code ec;

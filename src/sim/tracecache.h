@@ -2,7 +2,7 @@
  * @file
  * On-disk cache of captured benchmark traces, keyed by everything that
  * influences a capture (benchmark, TPC-C scale, transaction count,
- * seeds, spawn overhead, trace format version).
+ * seeds, spawn overhead, trace format version, site table).
  *
  * A capture runs the benchmark's transactions on a working copy of a
  * loaded database image; a batch of captures loads each distinct
@@ -12,11 +12,15 @@
  * and every later run — in this process or another — replays the
  * same bytes a fresh capture would record.
  *
+ * A cached file that does not load is damaged (the key fixes format
+ * and site table): it is warned about by name, counted under
+ * "tracecache.corrupt", and captured afresh.
+ *
  * Thread safety: captureTracesShared() may be called from concurrent
- * executor tasks. Calls for the same cache stem are serialized
- * single-flight (one capture, everyone else loads the finished
- * files); distinct stems proceed in parallel. Cache traffic is
- * counted in stats::GlobalCounters under "tracecache.*", database
+ * tasks. Trace files are written by rename (sim/traceio.h), so a
+ * reader sees a whole file or none; two callers that miss the same
+ * stem at once both capture and write the same bytes. Cache traffic
+ * is counted in stats::GlobalCounters under "tracecache.*", database
  * loads and trace captures under "tpcc.db_loads" / "tpcc.captures".
  */
 
@@ -57,7 +61,8 @@ struct CaptureRequest
  *
  * With an empty `cache_dir` every request is captured. Otherwise the
  * pair of trace files under `cache_dir/<BENCH>-<key>.{orig,tls}.trace`
- * is loaded if present and valid, else captured and written. The
+ * is loaded if present and valid, else captured and written (a
+ * present but invalid pair is warned about first). The
  * directory is created on demand. Either way both TraceIndexes are
  * then built in-process from the returned traces: the cache stores
  * traces only, never an index.

@@ -1,14 +1,17 @@
 #include "sim/traceio.h"
 
-#include <algorithm>
-#include <array>
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <vector>
+
+#include "base/dethash.h"
 #include "base/log.h"
-#include "base/narrow.h"
 #include "core/site.h"
 #include "sim/varint.h"
 
@@ -17,360 +20,397 @@ namespace sim {
 
 namespace {
 
+// Fixed-width fields hold their in-memory bytes. The header is magic,
+// version and site-table digest; the trailer is the digest of every
+// byte before it.
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kTrailerBytes = 8;
+
+// ----- v4 columnar epoch encoding ------------------------------------
+//
+// Per epoch the record fields are stored as separate columns (all ops,
+// then all sizes, all aux words, all PCs) with the 64-bit addr column
+// zigzag-varint coded as deltas from the previous record's addr.
+// Addresses in a transaction are near-sequential, so most deltas fit
+// in 1-2 bytes; the column shrinks from 8 bytes to ~1.3 per record.
+
 template <typename T>
 void
-put(std::ostream &os, const T &v)
+append(std::string &out, T v)
 {
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
+    out.append(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
+/** Append the column of `field` over every record, in its own bytes. */
+template <typename M>
+void
+appendColumn(std::string &out, const std::vector<TraceRecord> &recs,
+             M TraceRecord::*field)
+{
+    std::size_t at = out.size();
+    out.resize(at + recs.size() * sizeof(M));
+    char *p = out.data() + at;
+    for (const TraceRecord &r : recs) {
+        std::memcpy(p, &(r.*field), sizeof(M));
+        p += sizeof(M);
+    }
+}
+
+void
+appendEpoch(std::string &out, const EpochTrace &e)
+{
+    const std::vector<TraceRecord> &recs = e.records;
+    append<std::uint64_t>(out, recs.size());
+    appendColumn(out, recs, &TraceRecord::op);   // u8
+    appendColumn(out, recs, &TraceRecord::size); // u8
+    appendColumn(out, recs, &TraceRecord::aux);  // u16
+    appendColumn(out, recs, &TraceRecord::pc);   // u32
+
+    std::size_t at = out.size();
+    out.resize(at + recs.size() * varint::kMaxBytes);
+    auto *col = reinterpret_cast<std::uint8_t *>(out.data() + at);
+    std::size_t len = 0;
+    Addr prev = 0;
+    for (const TraceRecord &r : recs) {
+        // The delta wraps modulo 2^64 by design: the decoder's
+        // matching unsigned addition reconstructs the exact address.
+        std::uint64_t delta = r.addr - prev;
+        len += varint::encode(
+            col + len, varint::zigzag(static_cast<std::int64_t>(delta)));
+        prev = r.addr;
+    }
+    out.resize(at + len);
+
+    append<std::uint64_t>(out, e.instCount);
+    append<std::uint64_t>(out, e.specInstCount);
+    append<std::uint64_t>(out, e.escapeSpans.size());
+    for (auto [b, en] : e.escapeSpans) {
+        append<std::uint32_t>(out, b);
+        append<std::uint32_t>(out, en);
+    }
+}
+
+/**
+ * An upper bound on the bytes of `w`'s file (every varint at its
+ * longest). Reserving it makes the encode one allocation; the pages
+ * past the bytes written are never touched.
+ */
+std::size_t
+encodedBound(const WorkloadTrace &w)
+{
+    std::size_t n = kHeaderBytes + 8 + kTrailerBytes;
+    for (const TransactionTrace &txn : w.txns) {
+        n += 8;
+        for (const TraceSection &sec : txn.sections) {
+            n += 9;
+            for (const EpochTrace &e : sec.epochs)
+                n += 32 + e.records.size() * (8 + varint::kMaxBytes) +
+                     e.escapeSpans.size() * 8;
+        }
+    }
+    return n;
+}
+
+/**
+ * Bounds-checked decode of a trace body: every read checks the bytes
+ * left before the trailer, and the first defect stops the decode with
+ * its reason in `why`. Besides truncation it rejects bad opcodes,
+ * memory accesses outside 1..128 bytes, malformed varints, escape
+ * spans that are unordered, overlapping, out of bounds or not
+ * anchored on EscapeBegin/EscapeEnd records, and trailing bytes.
+ */
+class Decoder
+{
+  public:
+    Decoder(std::string_view bytes, std::size_t begin, std::size_t end)
+        : base_(reinterpret_cast<const std::uint8_t *>(bytes.data())),
+          pos_(begin), end_(end)
+    {
+    }
+
+    bool workload(WorkloadTrace *out);
+
+    std::string why; ///< the first defect found
+
+  private:
+    std::size_t left() const { return end_ - pos_; }
+
+    bool
+    fail(std::string reason)
+    {
+        why = std::move(reason);
+        return false;
+    }
+
+    /** The next `n` bytes, or nullptr (after fail) if fewer are left. */
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        if (n > left()) {
+            fail(strfmt("truncated at offset %zu", pos_));
+            return nullptr;
+        }
+        const std::uint8_t *p = base_ + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    template <typename T>
+    bool
+    read(T *v)
+    {
+        const std::uint8_t *p = take(sizeof(T));
+        if (p)
+            std::memcpy(v, p, sizeof(T));
+        return p != nullptr;
+    }
+
+    bool epoch(EpochTrace *out);
+
+    const std::uint8_t *base_;
+    std::size_t pos_, end_;
+    std::vector<std::uint64_t> deltas_; ///< addr column scratch
+};
+
+bool
+Decoder::epoch(EpochTrace *out)
+{
+    std::uint64_t n = 0;
+    if (!read(&n))
+        return false;
+    // A record takes at least nine bytes (four fixed columns and one
+    // varint): a count the body cannot hold is rejected before it
+    // sizes an allocation.
+    if (n > left() / 9)
+        return fail(strfmt("truncated: %llu records at offset %zu",
+                           static_cast<unsigned long long>(n), pos_));
+    out->records.resize(n);
+    TraceRecord *recs = out->records.data();
+    const std::uint8_t *ops = take(8 * n);
+    if (!ops)
+        return false;
+    const std::uint8_t *sizes = ops + n, *aux = ops + 2 * n,
+                       *pcs = ops + 4 * n;
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord &r = recs[i];
+        if (ops[i] > static_cast<unsigned>(TraceOp::EscapeEnd))
+            return fail(strfmt("bad opcode %u", ops[i]));
+        r.op = static_cast<TraceOp>(ops[i]);
+        r.size = sizes[i];
+        if ((r.op == TraceOp::Load || r.op == TraceOp::Store) &&
+            (r.size == 0 || r.size > 128))
+            return fail(strfmt("access size %u", r.size));
+        std::memcpy(&r.aux, aux + 2 * i, sizeof r.aux);
+        std::memcpy(&r.pc, pcs + 4 * i, sizeof r.pc);
+    }
+
+    deltas_.resize(n);
+    std::size_t decoded = 0, used = 0;
+    varint::Status st = varint::decodeBlock(base_ + pos_, left(), n,
+                                            deltas_.data(), &decoded,
+                                            &used);
+    if (st != varint::Status::Ok)
+        return fail(strfmt(
+            "%s in the address column at offset %zu",
+            st == varint::Status::NeedMore ? "truncated"
+            : st == varint::Status::TooLong ? "varint over 10 bytes"
+                                            : "varint past 64 bits",
+            pos_ + used));
+    pos_ += used;
+    Addr prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        prev += static_cast<std::uint64_t>(varint::unzigzag(deltas_[i]));
+        recs[i].addr = prev;
+    }
+
+    std::uint64_t spans = 0;
+    if (!read(&out->instCount) || !read(&out->specInstCount) ||
+        !read(&spans))
+        return false;
+    if (spans > n)
+        return fail(strfmt("%llu escape spans for %llu records",
+                           static_cast<unsigned long long>(spans),
+                           static_cast<unsigned long long>(n)));
+    std::uint32_t prev_end = 0;
+    for (std::uint64_t i = 0; i < spans; ++i) {
+        std::uint32_t b = 0, en = 0;
+        if (!read(&b) || !read(&en))
+            return false;
+        if (b > en || en >= n || (i > 0 && b <= prev_end))
+            return fail(strfmt("escape span [%u,%u] unordered or out of "
+                               "bounds (%llu records)",
+                               b, en, static_cast<unsigned long long>(n)));
+        if (recs[b].op != TraceOp::EscapeBegin ||
+            recs[en].op != TraceOp::EscapeEnd)
+            return fail(strfmt("escape span [%u,%u] not anchored on "
+                               "EscapeBegin/EscapeEnd",
+                               b, en));
+        prev_end = en;
+        out->escapeSpans.emplace_back(b, en);
+    }
+    return true;
+}
+
+bool
+Decoder::workload(WorkloadTrace *out)
+{
+    WorkloadTrace w;
+    std::uint64_t txns = 0;
+    if (!read(&txns))
+        return false;
+    for (std::uint64_t t = 0; t < txns; ++t) {
+        TransactionTrace &txn = w.txns.emplace_back();
+        std::uint64_t secs = 0;
+        if (!read(&secs))
+            return false;
+        for (std::uint64_t s = 0; s < secs; ++s) {
+            TraceSection &sec = txn.sections.emplace_back();
+            std::uint8_t parallel = 0;
+            std::uint64_t epochs = 0;
+            if (!read(&parallel) || !read(&epochs))
+                return false;
+            sec.parallel = parallel != 0;
+            for (std::uint64_t i = 0; i < epochs; ++i)
+                if (!epoch(&sec.epochs.emplace_back()))
+                    return false;
+        }
+    }
+    if (left() != 0)
+        return fail(strfmt("%zu bytes after the last transaction", left()));
+    *out = std::move(w);
+    return true;
 }
 
 template <typename T>
 T
-get(std::istream &is)
+fieldAt(std::string_view bytes, std::size_t offset)
 {
     T v{};
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    if (!is)
-        panic("trace file truncated");
+    std::memcpy(&v, bytes.data() + offset, sizeof v);
     return v;
 }
 
-/** Bulk read (one stream call per column block); panics like get<>. */
-void
-getBytes(std::istream &is, void *dst, std::size_t bytes)
-{
-    is.read(static_cast<char *>(dst),
-            static_cast<std::streamsize>(bytes));
-    if (bytes != 0 && !is)
-        panic("trace file truncated");
-}
-
-// ----- v4 columnar epoch encoding ------------------------------------
-//
-// Per epoch the record fields are stored as separate streams (all ops,
-// then all sizes, ...) with the 64-bit addr column zigzag-varint coded
-// as deltas from the previous record's addr. Addresses in a
-// transaction are near-sequential, so most deltas fit in 1-2 bytes;
-// the column shrinks from 8 bytes to ~1.3 per record.
-//
-// The decode side works in blocks of varint::kBlock records: each
-// fixed-width column is pulled with one stream read per block and
-// scattered from a small SoA scratch buffer, and the varint address
-// column goes through varint::decodeBlock over a read-ahead buffer
-// (the branchless batch decoder). The stream is repositioned after
-// the column so read-ahead never leaks into the next field.
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        put<std::uint8_t>(os, truncateNarrow<std::uint8_t>(v | 0x80));
-        v >>= 7;
-    }
-    put<std::uint8_t>(os, checkedNarrow<std::uint8_t>(v));
-}
-
-/** Report a malformed varint (shared by both decode paths). */
+/** The bytes carry the trace magic and another format version. */
 bool
-rejectVarint(varint::Status st)
+otherVersion(std::string_view bytes)
 {
-    if (st == varint::Status::TooLong)
-        inform("trace file rejected: varint longer than 10 bytes");
-    else
-        inform("trace file rejected: varint payload exceeds 64 bits");
-    return false;
+    return bytes.size() >= 8 &&
+           fieldAt<std::uint32_t>(bytes, 0) == kTraceMagic &&
+           fieldAt<std::uint32_t>(bytes, 4) != kTraceVersion;
 }
 
-/**
- * Decode one varint into `*out`; false (after inform) if the encoding
- * is malformed. The last (10th) byte may only contribute the single
- * remaining bit 63 — a naive decoder would shift the full 7-bit
- * payload and silently discard the six bits past the top of the word.
- */
-bool
-getVarint(std::istream &is, std::uint64_t *out)
+/** Read the file at `path` into `*bytes`; "" or why it could not. */
+std::string
+readFile(const std::string &path, std::string *bytes)
 {
-    std::array<std::uint8_t, varint::kMaxBytes> buf;
-    std::size_t have = 0;
-    for (;;) {
-        std::size_t used = 0;
-        varint::Status st =
-            varint::decodeOne(buf.data(), have, out, &used);
-        if (st == varint::Status::Ok)
-            return true;
-        if (st != varint::Status::NeedMore)
-            return rejectVarint(st);
-        buf[have++] = get<std::uint8_t>(is);
-    }
-}
-
-/**
- * Decode the epoch's address column: `n` zigzag varint deltas,
- * accumulated into `recs[i].addr`. Batch-decodes in blocks of
- * varint::kBlock over a read-ahead buffer when the stream is seekable
- * (unused read-ahead is seeked back); falls back to the one-record
- * stream decoder otherwise. False (after inform) on malformed input;
- * panics on truncation like every other trace read.
- */
-bool
-getAddrColumn(std::istream &is, std::size_t n, TraceRecord *recs)
-{
-    Addr prev = 0;
-    if (n == 0)
-        return true;
-    if (is.tellg() == std::istream::pos_type(-1)) {
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t z = 0;
-            if (!getVarint(is, &z))
-                return false;
-            prev += static_cast<std::uint64_t>(varint::unzigzag(z));
-            recs[i].addr = prev;
-        }
-        return true;
-    }
-
-    std::vector<std::uint8_t> buf(std::size_t{64} << 10);
-    std::size_t len = 0, pos = 0;
-    std::array<std::uint64_t, varint::kBlock> z;
-    std::size_t done = 0;
-    while (done < n) {
-        std::size_t want =
-            std::min<std::size_t>(varint::kBlock, n - done);
-        std::size_t decoded = 0, used = 0;
-        varint::Status st = varint::decodeBlock(
-            buf.data() + pos, len - pos, want, z.data(), &decoded,
-            &used);
-        pos += used;
-        for (std::size_t i = 0; i < decoded; ++i) {
-            prev += static_cast<std::uint64_t>(varint::unzigzag(z[i]));
-            recs[done + i].addr = prev;
-        }
-        done += decoded;
-        if (st == varint::Status::Ok)
-            continue;
-        if (st != varint::Status::NeedMore)
-            return rejectVarint(st);
-        // Refill: keep the partial varint's bytes at the front.
-        std::memmove(buf.data(), buf.data() + pos, len - pos);
-        len -= pos;
-        pos = 0;
-        is.read(reinterpret_cast<char *>(buf.data()) + len,
-                static_cast<std::streamsize>(buf.size() - len));
-        std::size_t got = static_cast<std::size_t>(is.gcount());
-        if (got == 0)
-            panic("trace file truncated");
-        len += got;
-    }
-    // Return the unconsumed read-ahead so the stream sits exactly at
-    // the end of the column (clear a possible eofbit first; seekg on
-    // a failed stream would be a no-op).
-    is.clear();
-    is.seekg(-static_cast<std::streamoff>(len - pos), std::ios::cur);
-    if (!is)
-        panic("trace file: cannot rewind read-ahead");
-    return true;
-}
-
-void
-putEpoch(std::ostream &os, const EpochTrace &e)
-{
-    const std::size_t n = e.records.size();
-    put<std::uint64_t>(os, n);
-    for (const TraceRecord &r : e.records)
-        put<std::uint8_t>(os, checkedNarrow<std::uint8_t>(
-                                  static_cast<unsigned>(r.op)));
-    for (const TraceRecord &r : e.records)
-        put<std::uint8_t>(os, r.size);
-    for (const TraceRecord &r : e.records)
-        put<std::uint16_t>(os, r.aux);
-    for (const TraceRecord &r : e.records)
-        put<std::uint32_t>(os, r.pc);
-    Addr prev = 0;
-    for (const TraceRecord &r : e.records) {
-        // The delta wraps modulo 2^64 by design: the decoder's
-        // matching unsigned addition reconstructs the exact address.
-        std::uint64_t delta = r.addr - prev;
-        putVarint(os, varint::zigzag(static_cast<std::int64_t>(delta)));
-        prev = r.addr;
-    }
-    put<std::uint64_t>(os, e.instCount);
-    put<std::uint64_t>(os, e.specInstCount);
-    put<std::uint64_t>(os, e.escapeSpans.size());
-    for (auto [b, en] : e.escapeSpans) {
-        put<std::uint32_t>(os, b);
-        put<std::uint32_t>(os, en);
-    }
-}
-
-/** Read one epoch; false (after inform) if structurally malformed. */
-bool
-getEpoch(std::istream &is, EpochTrace *out)
-{
-    EpochTrace e;
-    auto n = get<std::uint64_t>(is);
-    if (n > (std::uint64_t{1} << 32)) {
-        inform("trace file rejected: %llu records in one epoch",
-               static_cast<unsigned long long>(n));
-        return false;
-    }
-    e.records.resize(n);
-    TraceRecord *recs = e.records.data();
-    constexpr std::size_t B = varint::kBlock;
-    const std::uint8_t max_op = checkedNarrow<std::uint8_t>(
-        static_cast<unsigned>(TraceOp::EscapeEnd));
-    std::array<std::uint8_t, B> col8;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col8.data(), blk);
-        for (std::size_t i = 0; i < blk; ++i) {
-            if (col8[i] > max_op) {
-                inform("trace file rejected: bad opcode %u", col8[i]);
-                return false;
-            }
-            recs[base + i].op = static_cast<TraceOp>(col8[i]);
-        }
-    }
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col8.data(), blk);
-        for (std::size_t i = 0; i < blk; ++i) {
-            TraceRecord &r = recs[base + i];
-            r.size = col8[i];
-            if ((r.op == TraceOp::Load || r.op == TraceOp::Store) &&
-                (r.size == 0 || r.size > 128)) {
-                inform("trace file rejected: access size %u", r.size);
-                return false;
-            }
-        }
-    }
-    std::array<std::uint16_t, B> col16;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col16.data(), blk * 2);
-        for (std::size_t i = 0; i < blk; ++i)
-            recs[base + i].aux = col16[i];
-    }
-    std::array<std::uint32_t, B> col32;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col32.data(), blk * 4);
-        for (std::size_t i = 0; i < blk; ++i)
-            recs[base + i].pc = col32[i];
-    }
-    if (!getAddrColumn(is, n, recs))
-        return false;
-    e.instCount = get<std::uint64_t>(is);
-    e.specInstCount = get<std::uint64_t>(is);
-    auto spans = get<std::uint64_t>(is);
-    if (spans > n) {
-        inform("trace file rejected: %llu escape spans for %llu records",
-               static_cast<unsigned long long>(spans),
-               static_cast<unsigned long long>(n));
-        return false;
-    }
-    std::uint64_t prev_end = 0;
-    for (std::uint64_t i = 0; i < spans; ++i) {
-        auto b = get<std::uint32_t>(is);
-        auto en = get<std::uint32_t>(is);
-        if (b > en || en >= n || (i > 0 && b <= prev_end)) {
-            inform("trace file rejected: escape span [%u,%u] unordered "
-                   "or out of bounds (%llu records)",
-                   b, en, static_cast<unsigned long long>(n));
-            return false;
-        }
-        if (e.records[b].op != TraceOp::EscapeBegin ||
-            e.records[en].op != TraceOp::EscapeEnd) {
-            inform("trace file rejected: escape span [%u,%u] not "
-                   "anchored on EscapeBegin/EscapeEnd",
-                   b, en);
-            return false;
-        }
-        prev_end = en;
-        e.escapeSpans.emplace_back(b, en);
-    }
-    *out = std::move(e);
-    return true;
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    std::FILE *f = ec ? nullptr : std::fopen(path.c_str(), "rb");
+    if (!f)
+        return "cannot open: " +
+               (ec ? ec.message() : std::string(std::strerror(errno)));
+    bytes->resize(size);
+    const bool whole = std::fread(bytes->data(), 1, size, f) == size;
+    std::fclose(f);
+    return whole ? "" : "cannot read the whole file";
 }
 
 } // namespace
 
-void
-saveTrace(std::ostream &os, const WorkloadTrace &w)
+std::string
+encodeTrace(const WorkloadTrace &w)
 {
-    put<std::uint32_t>(os, kTraceMagic);
-    put<std::uint32_t>(os, kTraceVersion);
-
-    put<std::uint64_t>(os, siteTableDigest());
-
-    put<std::uint64_t>(os, w.txns.size());
+    std::string out;
+    out.reserve(encodedBound(w));
+    append<std::uint32_t>(out, kTraceMagic);
+    append<std::uint32_t>(out, kTraceVersion);
+    append<std::uint64_t>(out, siteTableDigest());
+    append<std::uint64_t>(out, w.txns.size());
     for (const TransactionTrace &txn : w.txns) {
-        put<std::uint64_t>(os, txn.sections.size());
+        append<std::uint64_t>(out, txn.sections.size());
         for (const TraceSection &sec : txn.sections) {
-            put<std::uint8_t>(os, sec.parallel ? 1 : 0);
-            put<std::uint64_t>(os, sec.epochs.size());
+            append<std::uint8_t>(out, sec.parallel ? 1 : 0);
+            append<std::uint64_t>(out, sec.epochs.size());
             for (const EpochTrace &e : sec.epochs)
-                putEpoch(os, e);
+                appendEpoch(out, e);
         }
     }
+    det::Hash h;
+    h.bytes(out.data(), out.size());
+    append<std::uint64_t>(out, h.value());
+    return out;
 }
 
-bool
-loadTrace(std::istream &is, WorkloadTrace *out)
+std::string
+decodeTrace(std::string_view bytes, WorkloadTrace *out)
 {
-    std::uint32_t magic = 0, version = 0;
-    is.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!is || magic != kTraceMagic || version != kTraceVersion)
-        return false;
-
+    // The digest is checked before anything is decoded, so a damaged
+    // or truncated file never reaches the decoder; the version word
+    // only names a likelier cause than damage.
+    if (bytes.size() < kHeaderBytes + kTrailerBytes)
+        return "digest mismatch: too short for a header and digest";
+    const std::size_t body_end = bytes.size() - kTrailerBytes;
+    det::Hash h;
+    h.bytes(bytes.data(), body_end);
+    const bool sealed = h.value() == fieldAt<std::uint64_t>(bytes, body_end);
+    if (otherVersion(bytes))
+        return strfmt("%sformat version %u, this build reads %u",
+                      sealed ? "" : "digest mismatch: ",
+                      fieldAt<std::uint32_t>(bytes, 4), kTraceVersion);
+    if (!sealed)
+        return "digest mismatch: a damaged, truncated or foreign file";
+    if (fieldAt<std::uint32_t>(bytes, 0) != kTraceMagic)
+        return "not a trace file";
     // PCs index the compiled site table: a file written against
     // another table names other sites.
-    if (get<std::uint64_t>(is) != siteTableDigest()) {
-        inform("trace file rejected: written against another site table");
-        return false;
-    }
+    if (fieldAt<std::uint64_t>(bytes, 8) != siteTableDigest())
+        return "written against another site table";
 
-    WorkloadTrace w;
-    auto txns = get<std::uint64_t>(is);
-    for (std::uint64_t t = 0; t < txns; ++t) {
-        TransactionTrace txn;
-        auto secs = get<std::uint64_t>(is);
-        for (std::uint64_t s = 0; s < secs; ++s) {
-            TraceSection sec;
-            sec.parallel = get<std::uint8_t>(is) != 0;
-            auto epochs = get<std::uint64_t>(is);
-            for (std::uint64_t e = 0; e < epochs; ++e) {
-                EpochTrace et;
-                if (!getEpoch(is, &et))
-                    return false;
-                sec.epochs.push_back(std::move(et));
-            }
-            txn.sections.push_back(std::move(sec));
-        }
-        w.txns.push_back(std::move(txn));
-    }
-    *out = std::move(w);
-    return true;
+    Decoder d(bytes, kHeaderBytes, body_end);
+    return d.workload(out) ? "" : d.why;
 }
 
 void
 saveTraceFile(const std::string &path, const WorkloadTrace &w)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot write trace file %s", path.c_str());
-    saveTrace(os, w);
-    if (!os)
-        fatal("error writing trace file %s", path.c_str());
+    const std::string bytes = encodeTrace(w);
+    // A unique temporary beside the target, renamed into place: a
+    // reader sees the old file or all of the new one. Its name does
+    // not end in ".trace", so `*.trace` globs never match it.
+    std::string tmp = path + ".tmp.XXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    std::FILE *f = fd < 0 ? nullptr : ::fdopen(fd, "wb");
+    bool ok = f && ::fchmod(fd, 0644) == 0 &&
+              std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = f && std::fclose(f) == 0 && ok;
+    if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int err = errno;
+        ::unlink(tmp.c_str());
+        fatal("cannot write trace file %s: %s", path.c_str(),
+              std::strerror(err));
+    }
+}
+
+std::string
+readTraceFile(const std::string &path, WorkloadTrace *out)
+{
+    std::string bytes;
+    std::string why = readFile(path, &bytes);
+    return why.empty() ? decodeTrace(bytes, out) : why;
 }
 
 bool
 loadTraceFile(const std::string &path, WorkloadTrace *out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot read trace file %s", path.c_str());
-    return loadTrace(is, out);
+    std::string bytes;
+    std::string why = readFile(path, &bytes);
+    if (why.empty())
+        why = decodeTrace(bytes, out);
+    if (why.empty())
+        return true;
+    (otherVersion(bytes) ? inform : warn)("%s: %s", path.c_str(),
+                                          why.c_str());
+    return false;
 }
 
 } // namespace sim

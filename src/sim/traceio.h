@@ -4,8 +4,15 @@
  *
  * Captures are deterministic but capture time (data load + native
  * transaction execution) dominates short experiments; saving a trace
- * lets the machine sweeps re-run without the database. The format is
- * versioned and self-describing enough to reject foreign files.
+ * lets the machine sweeps re-run without the database.
+ *
+ * A trace file is one byte buffer, encoded and decoded in memory:
+ * magic and version (two u32), the site-table digest (u64), the body
+ * (transactions > sections > epochs, each epoch as columns; see
+ * traceio.cc), and a u64 det::Hash of every byte before it. The
+ * loader checks that digest before it decodes anything and rejects a
+ * bad file with a reason, never a panic; the writer renames a whole
+ * temporary into place, so no reader in any process sees a part file.
  *
  * A trace holds only synthetic addresses and site PCs (core/tracer.h,
  * core/site.h), so a file is a pure function of the capture and
@@ -16,8 +23,8 @@
 #ifndef SIM_TRACEIO_H
 #define SIM_TRACEIO_H
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/trace.h"
 
@@ -26,26 +33,36 @@ namespace sim {
 
 /** Magic + version of the trace container format. */
 inline constexpr std::uint32_t kTraceMagic = 0x544c5331; // "TLS1"
-inline constexpr std::uint32_t kTraceVersion = 5;
+inline constexpr std::uint32_t kTraceVersion = 6;
 // v4: epochs store columnar streams (op/size/aux/pc arrays plus
 // zigzag-varint delta-coded addresses) instead of packed TraceRecord
 // structs — near-sequential addresses delta-code to a byte or two.
 // v5: the site-name table and the loader's PC remap give way to one
 // digest of the compiled site table; addresses are synthetic.
+// v6: the v5 bytes, then a det::Hash digest of them.
 
-/** Serialize a workload to a stream / file. */
-void saveTrace(std::ostream &os, const WorkloadTrace &w);
-void saveTraceFile(const std::string &path, const WorkloadTrace &w);
+/** The bytes of a trace file holding `w`. */
+std::string encodeTrace(const WorkloadTrace &w);
 
 /**
- * Deserialize. Returns false for wrong magic/version (foreign file),
- * for another site table, and for structurally malformed content —
- * bad opcodes, oversized accesses, or escape spans that are
- * unordered, overlapping, out of bounds, or not anchored on
- * EscapeBegin/EscapeEnd records — after describing the defect via
- * inform(). Panics only on truncation.
+ * Decode the bytes of a trace file into `*out`; returns "" on success.
+ * Otherwise `*out` is untouched and the result says why the bytes were
+ * rejected: a digest mismatch (checked first), another format version
+ * or site table, or malformed content.
  */
-bool loadTrace(std::istream &is, WorkloadTrace *out);
+std::string decodeTrace(std::string_view bytes, WorkloadTrace *out);
+
+/** Write `w` to `path` by temporary and rename; fatal on I/O error. */
+void saveTraceFile(const std::string &path, const WorkloadTrace &w);
+
+/** Read and decode `path`: decodeTrace()'s result, unreported. */
+std::string readTraceFile(const std::string &path, WorkloadTrace *out);
+
+/**
+ * readTraceFile(), reporting a rejection as `<path>: <why>`: through
+ * inform() for a file of another format version, the expected stale
+ * case, and through warn() for anything else.
+ */
 bool loadTraceFile(const std::string &path, WorkloadTrace *out);
 
 } // namespace sim

@@ -6,8 +6,8 @@
  * (sim/traceio.cc); replaying a cached trace decodes hundreds of
  * millions of these, so the decoder matters. Two decoders live here:
  *
- *  - decodeOne: the byte-at-a-time reference decoder, shared by the
- *    non-seekable-stream fallback and the differential tests.
+ *  - decodeOne: the byte-at-a-time reference decoder, shared by
+ *    decodeBlock's slow path and the differential tests.
  *  - decodeBlock: the batch decoder. For each value it loads eight
  *    bytes at once and extracts the continuation mask branchlessly
  *    (ctz on the inverted MSB lattice gives the varint length; a SWAR
@@ -18,8 +18,9 @@
  *
  * Both decoders reject the same malformed inputs: a 10th byte whose
  * payload spills past bit 63 (Overflow) and a continuation chain that
- * never terminates within 10 bytes (TooLong). Truncation surfaces as
- * NeedMore so the stream layer can refill or diagnose.
+ * never terminates within 10 bytes (TooLong). A buffer that ends
+ * inside a varint surfaces as NeedMore; the trace decoder, which hands
+ * over a whole column, reads it as truncation.
  */
 
 #ifndef SIM_VARINT_H
@@ -37,9 +38,6 @@ namespace varint {
 
 /** Longest legal encoding of a 64-bit value: ceil(64 / 7) bytes. */
 inline constexpr std::size_t kMaxBytes = 10;
-
-/** Batch granularity of decodeBlock callers (one SoA scratch block). */
-inline constexpr std::size_t kBlock = 64;
 
 inline std::uint64_t
 zigzag(std::int64_t v)
@@ -76,7 +74,7 @@ encode(std::uint8_t *buf, std::uint64_t v)
 
 enum class Status {
     Ok,       ///< requested values decoded
-    NeedMore, ///< buffer ended inside a varint (refill or truncated)
+    NeedMore, ///< buffer ended inside a varint
     Overflow, ///< 10th byte carries payload past bit 63
     TooLong,  ///< no terminator within kMaxBytes
 };
@@ -113,8 +111,8 @@ decodeOne(const std::uint8_t *p, std::size_t avail, std::uint64_t *out,
  * Batch decoder: up to `count` values from [p, p+avail) into `out`.
  * Always reports progress through `*decoded` (values written) and
  * `*consumed` (bytes used for them), even on a non-Ok status, so the
- * caller can scatter partial results, refill the buffer at the
- * consumed offset, and continue. Never reads past p + avail.
+ * caller can resume after refilling the buffer at the consumed offset.
+ * Never reads past p + avail.
  */
 TLSIM_HOT inline Status
 decodeBlock(const std::uint8_t *p, std::size_t avail, std::size_t count,

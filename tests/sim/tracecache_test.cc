@@ -2,24 +2,27 @@
  * @file
  * Trace-cache tests: key stability/distinctness, the on-disk roundtrip
  * (the second captureTracesShared() loads from disk and must replay
- * identically to the first), and that the cache holds traces only:
- * every load re-derives its indexes from the traces themselves.
+ * identically to the first), that a damaged cached file is warned
+ * about, counted and recaptured, and that the cache holds traces
+ * only: every load re-derives its indexes from the traces themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "base/dethash.h"
 #include "base/stats.h"
 #include "core/resulthash.h"
-#include "core/site.h"
 #include "core/traceindex.h"
 #include "sim/executor.h"
 #include "sim/tracecache.h"
@@ -233,50 +236,113 @@ TEST(TraceCache, SecondLoadReplaysIdentically)
     }
 }
 
-TEST(TraceCache, AnotherSiteTableRecaptures)
+/** The bytes of the file at `path`. */
+std::string
+slurp(const std::string &path)
 {
-    // A cached file written against another site table names other
-    // sites with its PCs: the loader rejects it and the cache
-    // captures afresh, to the same trace.
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/**
+ * Damage the cached .tls.trace of (type, cfg) with `damage`, then
+ * expect the next call to warn naming the file and `reason`, count it
+ * corrupt, and capture afresh to the same trace and a file that loads.
+ */
+template <typename F>
+void
+expectRecaptured(tpcc::TxnType type, const char *tag, const char *reason,
+                 F damage)
+{
     ExperimentConfig cfg = tinyConfig();
-    std::string dir = freshCacheDir("sitetable");
-    SharedTraces first =
-        captureTracesShared(tpcc::TxnType::Payment, cfg, dir);
+    std::string dir = freshCacheDir(tag);
+    SharedTraces first = captureTracesShared(type, cfg, dir);
     ASSERT_NE(first, nullptr);
 
-    std::string path = dir + "/PAYMENT-" +
-                       traceCacheKey(tpcc::TxnType::Payment, cfg) +
-                       ".tls.trace";
-    {
-        // Header: magic, version (4 bytes each), the table digest.
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        ASSERT_TRUE(f.good()) << path;
-        f.seekp(8);
-        put<std::uint64_t>(f, siteTableDigest() ^ 1);
-    }
+    std::string name = tpcc::txnTypeName(type);
+    std::replace(name.begin(), name.end(), ' ', '_');
+    std::string path =
+        dir + "/" + name + "-" + traceCacheKey(type, cfg) + ".tls.trace";
+    std::string bytes = slurp(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    spit(path, damage(bytes));
 
     std::uint64_t caps = counter("tpcc.captures");
-    SharedTraces second =
-        captureTracesShared(tpcc::TxnType::Payment, cfg, dir);
-    ASSERT_NE(second, nullptr);
+    std::uint64_t corrupt = counter("tracecache.corrupt");
+    ::testing::internal::CaptureStderr();
+    SharedTraces again = captureTracesShared(type, cfg, dir);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_NE(again, nullptr);
+    EXPECT_NE(err.find("warn: trace cache: " + path), std::string::npos)
+        << err;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+    EXPECT_EQ(counter("tracecache.corrupt") - corrupt, 1u);
     EXPECT_EQ(counter("tpcc.captures") - caps, 2u);
     EXPECT_EQ(det::hashWorkloadTrace(first->tls),
-              det::hashWorkloadTrace(second->tls));
+              det::hashWorkloadTrace(again->tls));
+
+    // The damaged file was replaced by a valid one.
+    WorkloadTrace reloaded;
+    EXPECT_EQ(readTraceFile(path, &reloaded), "");
     std::filesystem::remove_all(dir);
 }
 
-TEST(TraceCache, ParallelSameKeySingleCapture)
+TEST(TraceCache, AnotherSiteTableRecaptures)
 {
-    // Concurrent executor tasks asking for the same (benchmark,
-    // config) must be serialized single-flight: exactly one capture
-    // writes the cache files, everyone else loads them. Before the
-    // per-stem lock, two concurrent captures could interleave their
-    // writes to the same paths and leave a torn trace on disk.
+    // The key names the site table, so a file under it written against
+    // another table (here: the header digest changed and the trailer
+    // recomputed) is damage: the site-table check rejects it.
+    expectRecaptured(tpcc::TxnType::Payment, "sitetable",
+                     "another site table", [](std::string b) {
+                         b[8] ^= 1; // header: magic, version, digest
+                         b.resize(b.size() - 8);
+                         det::Hash h;
+                         h.bytes(b.data(), b.size());
+                         std::uint64_t d = h.value();
+                         b.append(reinterpret_cast<const char *>(&d), 8);
+                         return b;
+                     });
+}
+
+TEST(TraceCache, FlippedBitRecaptures)
+{
+    expectRecaptured(tpcc::TxnType::NewOrder, "flip", "digest mismatch",
+                     [](std::string b) {
+                         b[b.size() / 2] ^= 0x10;
+                         return b;
+                     });
+}
+
+TEST(TraceCache, TruncatedFileRecaptures)
+{
+    expectRecaptured(tpcc::TxnType::Delivery, "cut", "digest mismatch",
+                     [](const std::string &b) {
+                         return b.substr(0, b.size() - 1);
+                     });
+}
+
+TEST(TraceCache, CorruptCacheFileFallsBackToCapture)
+{
+    // Not a trace at all: a miss with a warning, not a panic.
+    expectRecaptured(tpcc::TxnType::OrderStatus, "corrupt",
+                     "digest mismatch", [](const std::string &) {
+                         return std::string("junk that is not a trace");
+                     });
+}
+
+TEST(TraceCache, ParallelSameKeyCallersAgree)
+{
+    // Concurrent callers of the same (benchmark, config) may each
+    // capture, but every file write is a rename: every caller gets the
+    // same trace and the files left behind are whole.
     ExperimentConfig cfg = tinyConfig();
     std::string dir = freshCacheDir("parallel");
-    auto &gc = stats::GlobalCounters::instance();
-    gc.reset();
 
     constexpr std::size_t kCallers = 8;
     std::vector<SharedTraces> got(kCallers);
@@ -285,53 +351,27 @@ TEST(TraceCache, ParallelSameKeySingleCapture)
         got[i] = captureTracesShared(tpcc::TxnType::Delivery, cfg, dir);
     });
 
-    for (std::size_t i = 0; i < kCallers; ++i)
+    for (std::size_t i = 0; i < kCallers; ++i) {
         ASSERT_NE(got[i], nullptr) << "caller " << i;
-    EXPECT_EQ(gc.value("tracecache.capture"), 1u);
-    EXPECT_EQ(gc.value("tracecache.hit"), kCallers - 1);
-
-    // The files the racers left behind are complete and loadable.
-    std::string key = traceCacheKey(tpcc::TxnType::Delivery, cfg);
-    std::string base = dir + "/DELIVERY-" + key;
-    WorkloadTrace orig, tls;
-    EXPECT_TRUE(loadTraceFile(base + ".orig.trace", &orig));
-    EXPECT_TRUE(loadTraceFile(base + ".tls.trace", &tls));
-
-    // Every caller sees the same shape (they share one capture).
-    for (std::size_t i = 1; i < kCallers; ++i)
-        EXPECT_EQ(got[i]->tls.txns.size(), got[0]->tls.txns.size());
-    gc.reset();
-}
-
-TEST(TraceCache, CorruptCacheFileFallsBackToCapture)
-{
-    ExperimentConfig cfg = tinyConfig();
-    std::string dir = freshCacheDir("corrupt");
-
-    SharedTraces first =
-        captureTracesShared(tpcc::TxnType::OrderStatus, cfg, dir);
-    ASSERT_NE(first, nullptr);
-
-    std::string key = traceCacheKey(tpcc::TxnType::OrderStatus, cfg);
-    std::string path = dir + "/ORDER_STATUS-" + key + ".tls.trace";
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << "junk that is not a trace";
+        EXPECT_EQ(det::hashWorkloadTrace(got[i]->original),
+                  det::hashWorkloadTrace(got[0]->original))
+            << "caller " << i;
+        EXPECT_EQ(det::hashWorkloadTrace(got[i]->tls),
+                  det::hashWorkloadTrace(got[0]->tls))
+            << "caller " << i;
     }
 
-    // Wrong magic is treated as a miss, not a panic, and the
-    // re-capture has the same structure.
-    SharedTraces again =
-        captureTracesShared(tpcc::TxnType::OrderStatus, cfg, dir);
-    ASSERT_NE(again, nullptr);
-    ASSERT_EQ(again->tls.txns.size(), first->tls.txns.size());
-    for (std::size_t t = 0; t < first->tls.txns.size(); ++t)
-        EXPECT_EQ(again->tls.txns[t].sections.size(),
-                  first->tls.txns[t].sections.size());
-
-    // The corrupt file was replaced by a valid one.
-    WorkloadTrace reloaded;
-    EXPECT_TRUE(loadTraceFile(path, &reloaded));
+    std::string key = traceCacheKey(tpcc::TxnType::Delivery, cfg);
+    std::string base = "DELIVERY-" + key;
+    WorkloadTrace orig, tls;
+    EXPECT_EQ(readTraceFile(dir + "/" + base + ".orig.trace", &orig), "");
+    EXPECT_EQ(readTraceFile(dir + "/" + base + ".tls.trace", &tls), "");
+    EXPECT_EQ(det::hashWorkloadTrace(tls),
+              det::hashWorkloadTrace(got[0]->tls));
+    // No temporary outlives its rename.
+    EXPECT_EQ(filesIn(dir), (std::set<std::string>{base + ".orig.trace",
+                                                   base + ".tls.trace"}));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceCache, StaleIndexFileIsIgnored)

@@ -1,12 +1,27 @@
+/**
+ * @file
+ * Trace file tests: lossless round trips, a format pinned by body
+ * digests, the digest trailer catching every bit flip and truncation,
+ * and structural rejection of malformed content behind a valid
+ * digest. No input may panic the loader.
+ */
+
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <sstream>
+#include <unistd.h>
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
+
+#include "base/dethash.h"
+#include "base/rng.h"
 #include "core/machine.h"
 #include "core/site.h"
 #include "core/tracer.h"
 #include "sim/traceio.h"
+#include "tpcc/tpcc.h"
 
 namespace tlsim {
 namespace sim {
@@ -73,14 +88,34 @@ tracesEqual(const WorkloadTrace &a, const WorkloadTrace &b)
     return true;
 }
 
+/** Recompute the trailer of trace-file bytes after editing them. */
+std::string
+reseal(std::string bytes)
+{
+    bytes.resize(bytes.size() - 8);
+    det::Hash h;
+    h.bytes(bytes.data(), bytes.size());
+    std::uint64_t d = h.value();
+    bytes.append(reinterpret_cast<const char *>(&d), sizeof d);
+    return bytes;
+}
+
+/** Decode `bytes`, expecting a rejection; returns the reason. */
+std::string
+rejection(const std::string &bytes)
+{
+    WorkloadTrace out;
+    std::string why = decodeTrace(bytes, &out);
+    EXPECT_FALSE(why.empty());
+    return why;
+}
+
 TEST(TraceIo, RoundTripIsLossless)
 {
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
-    std::stringstream ss;
-    saveTrace(ss, w);
     WorkloadTrace back;
-    ASSERT_TRUE(loadTrace(ss, &back));
+    ASSERT_EQ(decodeTrace(encodeTrace(w), &back), "");
     EXPECT_TRUE(tracesEqual(w, back));
 }
 
@@ -88,10 +123,8 @@ TEST(TraceIo, ReplayOfReloadedTraceMatches)
 {
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
-    std::stringstream ss;
-    saveTrace(ss, w);
     WorkloadTrace back;
-    ASSERT_TRUE(loadTrace(ss, &back));
+    ASSERT_EQ(decodeTrace(encodeTrace(w), &back), "");
 
     MachineConfig cfg;
     TlsMachine m(cfg);
@@ -102,56 +135,170 @@ TEST(TraceIo, ReplayOfReloadedTraceMatches)
     EXPECT_EQ(a.totalInsts, b.totalInsts);
 }
 
+/** det::Hash of the bytes between the version word and the trailer. */
+std::uint64_t
+bodyDigest(const std::string &bytes)
+{
+    det::Hash h;
+    h.bytes(bytes.data() + 8, bytes.size() - 16);
+    return h.value();
+}
+
+TEST(TraceIo, FormatIsUnchanged)
+{
+    // The bytes after the version word and before the trailer are the
+    // v5 format; these digests were taken from the v5 writer. A change
+    // to the compiled site table moves them too (its digest is the
+    // first field hashed).
+    std::vector<std::uint64_t> mem(256);
+    EXPECT_EQ(bodyDigest(encodeTrace(sampleWorkload(mem))),
+              0x9a1c380b4249d3a5ull);
+
+    tpcc::CaptureOptions o;
+    o.scale = tpcc::TpccConfig::tiny();
+    o.txns = 4;
+    WorkloadTrace w = tpcc::captureBenchmark(tpcc::TxnType::StockLevel, o);
+    EXPECT_EQ(bodyDigest(encodeTrace(w)), 0x0c5aa1eb42d87ea5ull);
+}
+
+TEST(TraceIo, EveryBitFlipIsRejectedByTheDigest)
+{
+    // Every bit of a small file: the header, every column (the
+    // address column included) and the trailer itself.
+    std::vector<std::uint64_t> mem(256);
+    const std::string good = encodeTrace(sampleWorkload(mem));
+    for (std::size_t at = 0; at < good.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = good;
+            bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+            EXPECT_NE(rejection(bad).find("digest mismatch"),
+                      std::string::npos)
+                << "byte " << at << " bit " << bit;
+        }
+    }
+}
+
+TEST(TraceIo, SeededBitFlipsOfACaptureAreRejected)
+{
+    tpcc::CaptureOptions o;
+    o.scale = tpcc::TpccConfig::tiny();
+    o.txns = 2;
+    const std::string good = encodeTrace(
+        tpcc::captureBenchmark(tpcc::TxnType::NewOrder, o));
+    Rng rng(0xF11Bu);
+    for (int i = 0; i < 64; ++i) {
+        std::size_t at = rng.next() % good.size();
+        int bit = static_cast<int>(rng.next() % 8);
+        std::string bad = good;
+        bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+        EXPECT_NE(rejection(bad).find("digest mismatch"),
+                  std::string::npos)
+            << "byte " << at << " bit " << bit;
+    }
+}
+
+TEST(TraceIo, EveryTruncationIsRejectedByTheDigest)
+{
+    std::vector<std::uint64_t> mem(256);
+    const std::string good = encodeTrace(sampleWorkload(mem));
+    for (std::size_t len = 0; len < good.size(); ++len)
+        EXPECT_NE(rejection(good.substr(0, len)).find("digest mismatch"),
+                  std::string::npos)
+            << "length " << len;
+}
+
+TEST(TraceIo, TruncatedBodyBehindAValidDigestIsRejected)
+{
+    // The decoder's own bounds checks, reached only when the digest
+    // matches: every cut of the body, resealed, is "truncated".
+    std::vector<std::uint64_t> mem(256);
+    const std::string good = encodeTrace(sampleWorkload(mem));
+    const std::size_t body_end = good.size() - 8;
+    for (std::size_t len = 16; len < body_end; ++len) {
+        std::string cut = good.substr(0, len) + good.substr(body_end);
+        EXPECT_NE(rejection(reseal(cut)).find("truncated"),
+                  std::string::npos)
+            << "length " << len;
+    }
+}
+
+TEST(TraceIo, RejectsTrailingBytes)
+{
+    std::vector<std::uint64_t> mem(256);
+    std::string bytes = encodeTrace(sampleWorkload(mem));
+    bytes.insert(bytes.size() - 8, "x");
+    EXPECT_NE(rejection(reseal(bytes)).find("after the last transaction"),
+              std::string::npos);
+}
+
 TEST(TraceIo, RejectsForeignFiles)
 {
-    std::stringstream ss;
-    ss << "this is not a trace file at all";
-    WorkloadTrace out;
-    EXPECT_FALSE(loadTrace(ss, &out));
+    EXPECT_NE(rejection("this is not a trace file at all")
+                  .find("digest mismatch"),
+              std::string::npos);
 }
 
 TEST(TraceIo, RejectsWrongVersion)
 {
-    std::stringstream ss;
-    std::uint32_t magic = kTraceMagic, version = kTraceVersion + 1;
-    ss.write(reinterpret_cast<char *>(&magic), 4);
-    ss.write(reinterpret_cast<char *>(&version), 4);
-    WorkloadTrace out;
-    EXPECT_FALSE(loadTrace(ss, &out));
+    std::vector<std::uint64_t> mem(256);
+    std::string bytes = encodeTrace(sampleWorkload(mem));
+    std::uint32_t version = kTraceVersion + 1;
+    std::memcpy(bytes.data() + 4, &version, sizeof version);
+    // With a digest (a later format) and without (damage, or an
+    // earlier format without a trailer), the reason names the version.
+    EXPECT_NE(rejection(reseal(bytes)).find("format version 7"),
+              std::string::npos);
+    EXPECT_NE(rejection(bytes).find("format version 7"),
+              std::string::npos);
 }
 
-TEST(TraceIoDeathTest, TruncatedFilePanics)
+TEST(TraceIo, TruncatedFileIsRejected)
 {
     std::vector<std::uint64_t> mem(256);
-    WorkloadTrace w = sampleWorkload(mem);
-    std::stringstream ss;
-    saveTrace(ss, w);
-    std::string full = ss.str();
-    std::stringstream cut(full.substr(0, full.size() / 2));
+    std::string full = encodeTrace(sampleWorkload(mem));
+    std::string path = ::testing::TempDir() + "/tlsim_cut.trace";
+    std::ofstream(path, std::ios::binary) << full.substr(0, full.size() / 2);
     WorkloadTrace out;
-    EXPECT_DEATH(loadTrace(cut, &out), "truncated");
+    EXPECT_NE(readTraceFile(path, &out).find("digest mismatch"),
+              std::string::npos);
+    EXPECT_FALSE(loadTraceFile(path, &out));
+    std::remove(path.c_str());
 }
 
 TEST(TraceIo, FileRoundTrip)
 {
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
-    std::string path = ::testing::TempDir() + "/tlsim_test.trace";
+    std::string dir = ::testing::TempDir() + "/tlsim_traceio_" +
+                      std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/w.trace";
     saveTraceFile(path, w);
+    saveTraceFile(path, w); // replaces the file in place
     WorkloadTrace back;
     ASSERT_TRUE(loadTraceFile(path, &back));
     EXPECT_TRUE(tracesEqual(w, back));
-    std::remove(path.c_str());
+    std::set<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.insert(e.path().filename().string());
+    EXPECT_EQ(names, std::set<std::string>{"w.trace"});
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceIo, MissingFileIsRejected)
+{
+    WorkloadTrace out;
+    EXPECT_NE(readTraceFile(::testing::TempDir() + "/no/such.trace", &out)
+                  .find("cannot open"),
+              std::string::npos);
 }
 
 TEST(TraceIo, PcsNameTheSameSitesAfterReload)
 {
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
-    std::stringstream ss;
-    saveTrace(ss, w);
     WorkloadTrace back;
-    ASSERT_TRUE(loadTrace(ss, &back));
+    ASSERT_EQ(decodeTrace(encodeTrace(w), &back), "");
     Pc pc = back.txns[0].sections[0].epochs[0].records[0].pc;
     EXPECT_EQ(siteName(pc), "traceio.test.site");
 }
@@ -159,33 +306,27 @@ TEST(TraceIo, PcsNameTheSameSitesAfterReload)
 TEST(TraceIo, RejectsAnotherSiteTable)
 {
     std::vector<std::uint64_t> mem(256);
-    WorkloadTrace w = sampleWorkload(mem);
-    std::stringstream ss;
-    saveTrace(ss, w);
-    std::string bytes = ss.str();
+    std::string bytes = encodeTrace(sampleWorkload(mem));
     // Header: magic, version (4 bytes each), then the table digest.
     std::uint64_t digest = 0;
     std::memcpy(&digest, bytes.data() + 8, sizeof(digest));
     ASSERT_EQ(digest, siteTableDigest());
     bytes[8] ^= 1;
-    std::stringstream other(bytes);
-    WorkloadTrace out;
-    EXPECT_FALSE(loadTrace(other, &out));
+    EXPECT_EQ(rejection(reseal(bytes)),
+              "written against another site table");
 }
 
 // --- Loader hardening: structurally malformed files are rejected with
 // a clear error, not loaded (and not a crash). The writer serializes
-// in-memory structs verbatim, so corrupting the struct before saveTrace
-// produces a byte-stream with exactly the targeted defect. ------------
+// in-memory structs verbatim, so corrupting the struct before encoding
+// produces bytes with exactly the targeted defect and a valid digest.
 
-/** Save `w` and expect the loader to reject it. */
+/** Encode `w` and expect the decoder to reject it for `reason`. */
 void
-expectRejected(WorkloadTrace &w)
+expectRejected(const WorkloadTrace &w, const char *reason)
 {
-    std::stringstream ss;
-    saveTrace(ss, w);
-    WorkloadTrace out;
-    EXPECT_FALSE(loadTrace(ss, &out));
+    EXPECT_NE(rejection(encodeTrace(w)).find(reason), std::string::npos)
+        << reason;
 }
 
 EpochTrace &
@@ -199,7 +340,7 @@ TEST(TraceIo, RejectsUnknownOpcode)
     std::vector<std::uint64_t> mem(256);
     WorkloadTrace w = sampleWorkload(mem);
     firstParallelEpoch(w).records[0].op = static_cast<TraceOp>(200);
-    expectRejected(w);
+    expectRejected(w, "bad opcode 200");
 }
 
 TEST(TraceIo, RejectsMemoryRecordSizeOutOfRange)
@@ -212,7 +353,7 @@ TEST(TraceIo, RejectsMemoryRecordSizeOutOfRange)
             break;
         }
     }
-    expectRejected(w);
+    expectRejected(w, "access size 0");
 
     WorkloadTrace w2 = sampleWorkload(mem);
     for (auto &r : firstParallelEpoch(w2).records) {
@@ -221,7 +362,7 @@ TEST(TraceIo, RejectsMemoryRecordSizeOutOfRange)
             break;
         }
     }
-    expectRejected(w2);
+    expectRejected(w2, "access size 200");
 }
 
 TEST(TraceIo, RejectsOutOfBoundsEscapeSpan)
@@ -232,7 +373,7 @@ TEST(TraceIo, RejectsOutOfBoundsEscapeSpan)
     ASSERT_FALSE(e.escapeSpans.empty());
     e.escapeSpans[0].second =
         static_cast<std::uint32_t>(e.records.size()); // one past end
-    expectRejected(w);
+    expectRejected(w, "out of bounds");
 }
 
 TEST(TraceIo, RejectsInvertedEscapeSpan)
@@ -242,7 +383,7 @@ TEST(TraceIo, RejectsInvertedEscapeSpan)
     EpochTrace &e = firstParallelEpoch(w);
     ASSERT_FALSE(e.escapeSpans.empty());
     std::swap(e.escapeSpans[0].first, e.escapeSpans[0].second);
-    expectRejected(w);
+    expectRejected(w, "unordered");
 }
 
 TEST(TraceIo, RejectsOverlappingEscapeSpans)
@@ -254,7 +395,7 @@ TEST(TraceIo, RejectsOverlappingEscapeSpans)
     // Duplicate the first span: the second copy starts at (not after)
     // the previous end, violating the strict ordering invariant.
     e.escapeSpans.push_back(e.escapeSpans[0]);
-    expectRejected(w);
+    expectRejected(w, "unordered");
 }
 
 TEST(TraceIo, RejectsUnanchoredEscapeSpan)
@@ -267,7 +408,7 @@ TEST(TraceIo, RejectsUnanchoredEscapeSpan)
     ASSERT_GT(e.escapeSpans[0].first, 0u);
     --e.escapeSpans[0].first;
     --e.escapeSpans[0].second;
-    expectRejected(w);
+    expectRejected(w, "not anchored");
 }
 
 TEST(TraceIo, RejectsMoreSpansThanRecords)
@@ -276,16 +417,13 @@ TEST(TraceIo, RejectsMoreSpansThanRecords)
     WorkloadTrace w = sampleWorkload(mem);
     EpochTrace &e = firstParallelEpoch(w);
     e.escapeSpans.assign(e.records.size() + 1, {0, 0});
-    expectRejected(w);
+    expectRejected(w, "escape spans for");
 }
 
 TEST(TraceIo, EmptyWorkloadRoundTrips)
 {
-    WorkloadTrace w;
-    std::stringstream ss;
-    saveTrace(ss, w);
     WorkloadTrace back;
-    ASSERT_TRUE(loadTrace(ss, &back));
+    ASSERT_EQ(decodeTrace(encodeTrace(WorkloadTrace{}), &back), "");
     EXPECT_TRUE(back.txns.empty());
 }
 

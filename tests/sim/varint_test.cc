@@ -195,7 +195,8 @@ TEST(Varint, BlockDecodeResumesAcrossArbitraryBufferSplits)
     // decoder must report NeedMore at the split, preserve progress,
     // and produce identical output after the "refill".
     Rng rng(0xBEEFu);
-    std::size_t count = 257; // crosses several kBlock boundaries
+    constexpr std::size_t kBlock = 64; // values asked for per call
+    std::size_t count = 257;           // crosses several blocks
     std::vector<std::uint64_t> vals(count);
     for (auto &v : vals) {
         unsigned bits = static_cast<unsigned>(rng.next() % 65);
@@ -210,9 +211,9 @@ TEST(Varint, BlockDecodeResumesAcrossArbitraryBufferSplits)
         std::vector<std::uint8_t> buf;
         std::size_t fed = 0;
         while (got.size() < count) {
-            std::size_t want = std::min<std::size_t>(
-                varint::kBlock, count - got.size());
-            std::array<std::uint64_t, varint::kBlock> out;
+            std::size_t want =
+                std::min<std::size_t>(kBlock, count - got.size());
+            std::array<std::uint64_t, kBlock> out;
             std::size_t decoded = 0, used = 0;
             auto st = varint::decodeBlock(buf.data(), buf.size(), want,
                                           out.data(), &decoded, &used);

@@ -52,9 +52,12 @@ Every bench binary writes this schema when invoked with --json=FILE:
       "capture": {                    # optional; absent only in
         "db_loads": <int >= 0>,       # pre-capture-block reports.
         "captures": <int >= 0>,       # TPC-C databases loaded, traces
-        "hits": <int >= 0>            # captured, benchmarks the trace
-      },                              # cache supplied; a capture needs
-                                      # a load, a load serves captures
+        "hits": <int >= 0>,           # captured, benchmarks the trace
+        "corrupt": <int >= 0>         # cache supplied and benchmarks
+      },                              # whose cached files it rejected;
+                                      # a capture needs a load, a load
+                                      # serves captures, and each
+                                      # rejection is recaptured
       "replay": {                     # optional; absent only in
         "simd": "avx2"|"scalar",      # pre-replay-block reports
         "<counter>": <number >= 0>,   # the replay.* counter group
@@ -302,7 +305,7 @@ def check_capture(path, cap):
     if not isinstance(cap, dict):
         return fail(path, "'capture' is not an object")
     ok = True
-    keys = ("db_loads", "captures", "hits")
+    keys = ("db_loads", "captures", "hits", "corrupt")
     extra = sorted(set(cap) - set(keys))
     if extra:
         ok = fail(path, f"capture has unknown key(s) {', '.join(extra)}")
@@ -318,6 +321,9 @@ def check_capture(path, cap):
     if cap["db_loads"] > cap["captures"]:
         ok = fail(path, f"capture reports {cap['db_loads']} database "
                         f"loads for {cap['captures']} captures")
+    if cap["corrupt"] > cap["captures"]:
+        ok = fail(path, f"capture reports {cap['corrupt']} rejected "
+                        f"cache files for {cap['captures']} captures")
     return ok
 
 

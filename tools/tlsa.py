@@ -10,7 +10,7 @@ data flow — and checks properties no single file can show:
   A1  static deadlock detection.
       Every `MutexLock`/`UniqueLock` acquisition (base/sync.h) is
       attributed to a lock identity (Class::member, or the factory
-      method for registry-handed locks such as StemLocks::forStem()).
+      method for registry-handed locks, as in Cls::instance().forKey()).
       Nesting — directly, or by calling a function whose transitive
       may-acquire set is non-empty while a lock is held — creates an
       ordering edge. tlsa fails on: a cycle among edges (including a
@@ -609,7 +609,7 @@ def build_file_model(relpath, tokens, lines):
                     (close, lock_identity(args), tok.line))
                 pending_acqs.sort()
                 i += 3  # walk INTO the args: ctor-arg calls are
-                continue  # pre-acquisition (e.g. forStem(stem))
+                continue  # pre-acquisition (e.g. forKey(key))
 
             # `auto &x = [ns::]Cls::instance()` alias.
             if (t == "instance" and nxt == "(" and prev == "::"

@@ -153,12 +153,22 @@ cmdCapture(const CliArgs &a)
     return 0;
 }
 
+/** The --trace file; fatal, naming the file and why, if rejected. */
+WorkloadTrace
+loadTrace(const CliArgs &a)
+{
+    const std::string path = a.str("trace", "workload.trace");
+    WorkloadTrace w;
+    std::string why = sim::readTraceFile(path, &w);
+    if (!why.empty())
+        fatal("%s: %s", path.c_str(), why.c_str());
+    return w;
+}
+
 int
 cmdInfo(const CliArgs &a)
 {
-    WorkloadTrace w;
-    if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
-        fatal("not a tlsim trace file");
+    WorkloadTrace w = loadTrace(a);
     std::printf("transactions: %zu\n", w.txns.size());
     for (std::size_t i = 0; i < w.txns.size(); ++i) {
         const auto &t = w.txns[i];
@@ -176,9 +186,7 @@ cmdInfo(const CliArgs &a)
 int
 cmdReplay(const CliArgs &a)
 {
-    WorkloadTrace w;
-    if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
-        fatal("not a tlsim trace file");
+    WorkloadTrace w = loadTrace(a);
     MachineConfig mc = machineConfig(a);
     ExecMode mode = modeByName(a.str("mode", "tls"));
     unsigned warmup = static_cast<unsigned>(a.num("warmup", 0));
