@@ -96,10 +96,10 @@ class Hash
 /**
  * Order-insensitive digest combiner for shard merges: commutative and
  * associative over a multiset of element digests, so any merge order
- * (work-stealing completion order, shard arrival order) yields the
- * same value. Each element is finalized through a splitmix64-style
- * mixer before the modular add, so the combine is not vulnerable to
- * the trivial x ^ x = 0 cancellation a plain XOR fold would have.
+ * (task completion order, shard arrival order) yields the same
+ * value. Each element is finalized through a splitmix64-style mixer
+ * before the modular add, so the combine is not vulnerable to the
+ * trivial x ^ x = 0 cancellation a plain XOR fold would have.
  *
  * Declared in tools/detmergers.txt; tests/det/merge_perm_test.cc
  * holds its generated permutation property test.

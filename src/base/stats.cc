@@ -93,12 +93,5 @@ GlobalCounters::snapshot() const
     return {counters_.begin(), counters_.end()};
 }
 
-void
-GlobalCounters::reset()
-{
-    MutexLock lk(mtx_);
-    counters_.clear();
-}
-
 } // namespace stats
 } // namespace tlsim

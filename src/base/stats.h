@@ -112,7 +112,7 @@ class StatGroup
 
 /**
  * Process-wide, thread-safe named counters for host-side plumbing
- * observability (executor batches/steals, trace-cache hits, ...).
+ * observability (executor batches/tasks, trace-cache hits, ...).
  *
  * Unlike Stat/StatGroup — which are single-threaded by design, owned
  * by one simulated machine and dumped with its results — these are
@@ -140,9 +140,6 @@ class GlobalCounters
     /** All counters, sorted by name (a consistent point-in-time view). */
     std::vector<std::pair<std::string, std::uint64_t>> snapshot() const
         TLSIM_EXCLUDES(mtx_);
-
-    /** Drop every counter (tests isolate themselves with this). */
-    void reset() TLSIM_EXCLUDES(mtx_);
 
   private:
     GlobalCounters() = default;

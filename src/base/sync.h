@@ -2,36 +2,22 @@
  * @file
  * Annotated synchronization primitives.
  *
- * Thin wrappers over std::mutex / std::condition_variable carrying the
- * thread-safety capability attributes from base/threadannot.h. The
- * standard-library types cannot be annotated retroactively, so code
- * that wants `-Wthread-safety` coverage uses these instead; they
- * compile to the identical std calls (everything is inline and the
- * attributes vanish on GCC).
- *
- * Condition-variable waits are written as explicit predicate loops
- *
- *     UniqueLock lk(mtx_);
- *     while (!ready_)
- *         cv_.wait(lk);
- *
- * rather than the lambda-predicate overload: the analysis reasons
- * about guarded reads in straight-line code under a held capability,
- * while a lambda body gives it (and a reviewer) an ambiguous locking
- * context.
+ * Thin wrappers over std::mutex carrying the thread-safety capability
+ * attributes from base/threadannot.h. The standard-library types
+ * cannot be annotated retroactively, so code that wants
+ * `-Wthread-safety` coverage uses these instead; they compile to the
+ * identical std calls (everything is inline and the attributes vanish
+ * on GCC).
  */
 
 #ifndef BASE_SYNC_H
 #define BASE_SYNC_H
 
-#include <condition_variable>
 #include <mutex>
 
 #include "base/threadannot.h"
 
 namespace tlsim {
-
-class CondVar;
 
 /** An annotated std::mutex: the unit of GUARDED_BY/REQUIRES. */
 class TLSIM_CAPABILITY("mutex") Mutex
@@ -46,7 +32,6 @@ class TLSIM_CAPABILITY("mutex") Mutex
     bool try_lock() TLSIM_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   private:
-    friend class UniqueLock;
     std::mutex m_;
 };
 
@@ -65,45 +50,6 @@ class TLSIM_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mu_;
-};
-
-/**
- * RAII lock usable with CondVar (std::unique_lock shape). Always held
- * for its full scope from the analysis' point of view — CondVar::wait
- * releases and reacquires internally, which is invisible to (and
- * sound for) the capability tracking: every observable program point
- * inside the scope holds the lock.
- */
-class TLSIM_SCOPED_CAPABILITY UniqueLock
-{
-  public:
-    explicit UniqueLock(Mutex &mu) TLSIM_ACQUIRE(mu) : lk_(mu.m_) {}
-    ~UniqueLock() TLSIM_RELEASE() = default;
-
-    UniqueLock(const UniqueLock &) = delete;
-    UniqueLock &operator=(const UniqueLock &) = delete;
-
-  private:
-    friend class CondVar;
-    std::unique_lock<std::mutex> lk_;
-};
-
-/** Condition variable paired with UniqueLock. */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /** Caller must hold `lk` and re-check its predicate in a loop. */
-    void wait(UniqueLock &lk) { cv_.wait(lk.lk_); }
-
-    void notify_one() { cv_.notify_one(); }
-    void notify_all() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
 };
 
 } // namespace tlsim

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,36 +71,38 @@ TEST(StatGroup, ResetAllResetsMembers)
     EXPECT_DOUBLE_EQ(b.value(), 0);
 }
 
-TEST(GlobalCounters, AddValueSnapshotReset)
+// GlobalCounters is process-wide and never reset, so every test here
+// checks per-name deltas: the value after minus the value before.
+
+TEST(GlobalCounters, AddValueSnapshot)
 {
     auto &gc = GlobalCounters::instance();
-    gc.reset();
     EXPECT_EQ(gc.value("gc_test.never"), 0u);
 
+    const std::uint64_t a0 = gc.value("gc_test.a");
+    const std::uint64_t b0 = gc.value("gc_test.b");
     gc.add("gc_test.a");
     gc.add("gc_test.a", 4);
     gc.add("gc_test.b", 2);
-    EXPECT_EQ(gc.value("gc_test.a"), 5u);
-    EXPECT_EQ(gc.value("gc_test.b"), 2u);
+    EXPECT_EQ(gc.value("gc_test.a") - a0, 5u);
+    EXPECT_EQ(gc.value("gc_test.b") - b0, 2u);
 
+    // The snapshot is sorted by name and agrees with value().
     auto snap = gc.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].first, "gc_test.a");
-    EXPECT_EQ(snap[0].second, 5u);
-    EXPECT_EQ(snap[1].first, "gc_test.b");
-    EXPECT_EQ(snap[1].second, 2u);
-
-    gc.reset();
-    EXPECT_EQ(gc.value("gc_test.a"), 0u);
-    EXPECT_TRUE(gc.snapshot().empty());
+    EXPECT_TRUE(std::is_sorted(snap.begin(), snap.end()));
+    std::map<std::string, std::uint64_t> byName(snap.begin(), snap.end());
+    EXPECT_EQ(byName.size(), snap.size());
+    EXPECT_EQ(byName.count("gc_test.never"), 0u);
+    EXPECT_EQ(byName["gc_test.a"], gc.value("gc_test.a"));
+    EXPECT_EQ(byName["gc_test.b"], gc.value("gc_test.b"));
 }
 
 TEST(GlobalCounters, ConcurrentAddsAllLand)
 {
     auto &gc = GlobalCounters::instance();
-    gc.reset();
     constexpr int kThreads = 8;
     constexpr int kPerThread = 1000;
+    const std::uint64_t before = gc.value("gc_test.concurrent");
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t)
         ts.emplace_back([&] {
@@ -106,38 +111,43 @@ TEST(GlobalCounters, ConcurrentAddsAllLand)
         });
     for (auto &t : ts)
         t.join();
-    EXPECT_EQ(gc.value("gc_test.concurrent"),
+    EXPECT_EQ(gc.value("gc_test.concurrent") - before,
               static_cast<std::uint64_t>(kThreads * kPerThread));
-    gc.reset();
 }
 
 // TSan-focused stress (run_sanitizers.sh tsan selects *Shared*
-// suites): increments racing value/snapshot reads and
-// snapshot-then-reset flushes on the singleton. A flush that resets
-// between its snapshot and another thread's add drops that add by
-// design — each operation is atomic under mtx_, the flush pair is
-// not — so the flushed total is bounded, not exact. What must hold
-// under TSan is that no operation races on counters_ itself.
+// suites): increments racing snapshot() and value() reads on the
+// singleton. Every operation is atomic under mtx_, so no add is lost:
+// the final count is exact, and every read in between sees a value
+// no smaller than the read before it.
 TEST(GlobalCountersSharedStress, IncrementsRacingFlushes)
 {
     auto &gc = GlobalCounters::instance();
-    gc.reset();
     constexpr int kWriters = 4;
     constexpr int kPerWriter = 2000;
+    const std::uint64_t before = gc.value("gc_stress.racy");
     std::atomic<bool> stop{false};
 
-    std::uint64_t flushed = 0;
+    bool snapshotsMonotone = true;
     std::thread flusher([&] {
+        std::uint64_t last = before;
         while (!stop.load(std::memory_order_acquire)) {
-            for (const auto &kv : gc.snapshot())
-                flushed += kv.second;
-            gc.reset();
+            for (const auto &kv : gc.snapshot()) {
+                if (kv.first != "gc_stress.racy")
+                    continue;
+                snapshotsMonotone &= kv.second >= last;
+                last = kv.second;
+            }
             std::this_thread::yield();
         }
     });
+    bool valuesMonotone = true;
     std::thread reader([&] {
+        std::uint64_t last = before;
         while (!stop.load(std::memory_order_acquire)) {
-            (void)gc.value("gc_stress.racy");
+            const std::uint64_t v = gc.value("gc_stress.racy");
+            valuesMonotone &= v >= last;
+            last = v;
             std::this_thread::yield();
         }
     });
@@ -153,11 +163,10 @@ TEST(GlobalCountersSharedStress, IncrementsRacingFlushes)
     flusher.join();
     reader.join();
 
-    flushed += gc.value("gc_stress.racy");
-    EXPECT_GT(flushed, 0u);
-    EXPECT_LE(flushed,
+    EXPECT_TRUE(snapshotsMonotone);
+    EXPECT_TRUE(valuesMonotone);
+    EXPECT_EQ(gc.value("gc_stress.racy") - before,
               static_cast<std::uint64_t>(kWriters * kPerWriter));
-    gc.reset();
 }
 
 } // namespace

@@ -93,7 +93,7 @@ propertyCombineUnordered()
 
     // Shard associativity: merging per-shard partial folds must equal
     // the flat fold, whatever the split point — exactly the
-    // work-stealing completion-order scenario.
+    // parallel task completion-order scenario.
     for (std::size_t split : {std::size_t{1}, items.size() / 3,
                               items.size() / 2, items.size() - 1}) {
         std::vector<std::uint64_t> a(items.begin(),
@@ -122,12 +122,18 @@ propertyGlobalCountersAdd()
     for (int i = 0; i < 200; ++i)
         ops.emplace_back(names[rng() % 4], rng() % 1000);
 
+    // The counters are process-wide, so each run is judged by the
+    // per-name deltas it adds, not by absolute values.
     auto run = [&](const std::vector<std::pair<std::string,
                                                std::uint64_t>> &seq) {
-        gc.reset();
-        for (const auto &[name, delta] : seq)
-            gc.add(name, delta);
-        return gc.snapshot();
+        std::map<std::string, std::uint64_t> delta;
+        for (const char *name : names)
+            delta[name] -= gc.value(name);
+        for (const auto &[name, d] : seq)
+            gc.add(name, d);
+        for (const char *name : names)
+            delta[name] += gc.value(name);
+        return delta;
     };
 
     const auto canonical = run(ops);
@@ -138,7 +144,6 @@ propertyGlobalCountersAdd()
         std::shuffle(perm.begin(), perm.end(), rng);
         EXPECT_EQ(canonical, run(perm)) << "shuffle round " << round;
     }
-    gc.reset();
 }
 
 const std::map<std::string, std::function<void()>> &

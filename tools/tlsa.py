@@ -8,9 +8,9 @@ names, a resolved call graph, lock-acquisition scopes, and per-function
 data flow — and checks properties no single file can show:
 
   A1  static deadlock detection.
-      Every `MutexLock`/`UniqueLock` acquisition (base/sync.h) is
-      attributed to a lock identity (Class::member, or the factory
-      method for registry-handed locks, as in Cls::instance().forKey()).
+      Every `MutexLock` acquisition (base/sync.h) is attributed to a
+      lock identity (Class::member, or the factory method for
+      registry-handed locks, as in Cls::instance().forKey()).
       Nesting — directly, or by calling a function whose transitive
       may-acquire set is non-empty while a lock is held — creates an
       ordering edge. tlsa fails on: a cycle among edges (including a
@@ -80,7 +80,7 @@ CHECK_IDS = ("A1", "A2", "A3", "A4")
 
 # --- shared vocabularies -------------------------------------------------
 
-LOCK_TYPES = {"MutexLock", "UniqueLock"}
+LOCK_TYPES = {"MutexLock"}
 
 # A2: the audited modules (T1's set, plus core/machine.h —
 # EpochRun and the start-table bookkeeping live in the header, owned

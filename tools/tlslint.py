@@ -38,7 +38,8 @@ generic tool knows about:
   T2  no direct thread creation outside sim/executor.
       std::thread / std::jthread construction, pthread_create, and
       .detach() anywhere but sim/executor.{h,cc} bypasses the
-      work-stealing pool (and its shutdown/exception discipline).
+      per-batch claim loop (and its join-before-return and
+      first-exception discipline).
 
   T3  narrowing casts in the trace decode paths go through
       base/narrow.h. In sim/traceio.* and core/traceindex.*, a
