@@ -2,9 +2,10 @@
  * @file
  * Shared plumbing for the paper-reproduction bench binaries:
  *
- *  - strict argument parsing (--quick, --txns=N, --jobs=N,
- *    --json=FILE, --trace-cache=DIR); unknown flags are an error so CI
- *    typos fail loudly instead of silently running the default;
+ *  - argument parsing through tools/cliargs.h (--quick, --txns=N,
+ *    --jobs=N, --json=FILE, --trace-cache=DIR, ...); unknown flags and
+ *    bad values are usage errors, so CI typos fail loudly instead of
+ *    silently running the default;
  *  - the per-benchmark experiment configuration;
  *  - a machine-readable result reporter emitting the "tlsim-bench-v1"
  *    JSON schema (validated by tools/check_bench_json.py).
@@ -15,10 +16,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +32,7 @@
 #include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/tracecache.h"
+#include "tools/cliargs.h"
 
 namespace tlsim {
 namespace bench {
@@ -64,120 +65,68 @@ struct BenchArgs
     bool detProbe = false;
 };
 
-[[noreturn]] inline void
-usage(const char *prog, int code)
+/** The bench usage text, for program `prog`. */
+inline std::string
+usage(const char *prog)
 {
-    std::FILE *out = code == 0 ? stdout : stderr;
-    std::fprintf(out,
-                 "usage: %s [--quick] [--txns=N] [--jobs=N] "
-                 "[--json=FILE] [--trace-cache=DIR] "
-                 "[--no-trace-index] [--audit=off|commit|full] "
-                 "[--force-scalar] [--prune=none|oracle] "
-                 "[--placement=fixed|risk] [--det-probe]\n"
-                 "  --quick            reduced TPC-C scale (CI)\n"
-                 "  --txns=N           transactions per capture\n"
-                 "  --jobs=N           parallel simulation points "
-                 "(0 = all cores, default 1)\n"
-                 "  --json=FILE        machine-readable results "
-                 "(tlsim-bench-v1 schema)\n"
-                 "  --trace-cache=DIR  reuse on-disk trace snapshots\n"
-                 "  --no-trace-index   disable the conflict-oracle "
-                 "fast path (identical results, slower replay)\n"
-                 "  --audit=LEVEL      protocol invariant auditor "
-                 "(off|commit|full; results must be identical)\n"
-                 "  --force-scalar     use the portable scalar kernels "
-                 "(identical results; golden-label comparison)\n"
-                 "  --prune=MODE       sweep pruning: 'oracle' scores "
-                 "grid points with the critical-path analyzer and "
-                 "simulates only the predicted frontier\n"
-                 "  --placement=POLICY sub-thread start points: 'fixed' "
-                 "spacing or predicted-'risk' records\n"
-                 "  --det-probe        hash the canonical result stream "
-                 "per stage into the 'determinism' JSON block\n",
-                 prog);
-    std::exit(code);
-}
-
-inline unsigned
-parseUnsigned(const std::string &flag, const std::string &val,
-              const char *prog)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long v = std::stoul(val, &pos);
-        if (pos != val.size() || v > 0xFFFFFFFFul)
-            throw std::invalid_argument(val);
-        return static_cast<unsigned>(v);
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "%s: bad value for %s: '%s'\n", prog,
-                     flag.c_str(), val.c_str());
-        std::exit(2);
-    }
+    return std::string("usage: ") + prog +
+           " [--quick] [--txns=N] [--jobs=N] "
+           "[--json=FILE] [--trace-cache=DIR] "
+           "[--no-trace-index] [--audit=off|commit|full] "
+           "[--force-scalar] [--prune=none|oracle] "
+           "[--placement=fixed|risk] [--det-probe]\n"
+           "  --quick            reduced TPC-C scale (CI)\n"
+           "  --txns=N           transactions per capture\n"
+           "  --jobs=N           parallel simulation points "
+           "(0 = all cores, default 1)\n"
+           "  --json=FILE        machine-readable results "
+           "(tlsim-bench-v1 schema)\n"
+           "  --trace-cache=DIR  reuse on-disk trace snapshots\n"
+           "  --no-trace-index   disable the conflict-oracle "
+           "fast path (identical results, slower replay)\n"
+           "  --audit=LEVEL      protocol invariant auditor "
+           "(off|commit|full; results must be identical)\n"
+           "  --force-scalar     use the portable scalar kernels "
+           "(identical results; golden-label comparison)\n"
+           "  --prune=MODE       sweep pruning: 'oracle' scores "
+           "grid points with the critical-path analyzer and "
+           "simulates only the predicted frontier\n"
+           "  --placement=POLICY sub-thread start points: 'fixed' "
+           "spacing or predicted-'risk' records\n"
+           "  --det-probe        hash the canonical result stream "
+           "per stage into the 'determinism' JSON block\n";
 }
 
 /**
- * Parse the bench command line. Unknown arguments are fatal (exit 2):
- * a misspelled flag must not silently fall back to default behaviour.
+ * Parse the bench command line. --help prints the usage and exits 0;
+ * any usage error (tools/cliargs.h) exits 2: a misspelled flag must
+ * not silently fall back to default behaviour.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
+    CliArgs cl(argv[0], usage(argv[0]));
+    cl.parse(argc, argv, 1);
+    if (cl.has("help")) {
+        std::fputs(cl.usage().c_str(), stdout);
+        std::exit(0);
+    }
+    cl.allowOnly({"quick", "txns", "jobs", "json", "trace-cache",
+                  "no-trace-index", "audit", "force-scalar", "prune",
+                  "placement", "det-probe"});
     BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *prefix) {
-            return a.substr(std::strlen(prefix));
-        };
-        if (a == "--quick")
-            args.quick = true;
-        else if (a.rfind("--txns=", 0) == 0)
-            args.txns = parseUnsigned("--txns", value("--txns="),
-                                      argv[0]);
-        else if (a.rfind("--jobs=", 0) == 0)
-            args.jobs = parseUnsigned("--jobs", value("--jobs="),
-                                      argv[0]);
-        else if (a.rfind("--json=", 0) == 0)
-            args.json = value("--json=");
-        else if (a.rfind("--trace-cache=", 0) == 0)
-            args.traceCache = value("--trace-cache=");
-        else if (a == "--no-trace-index")
-            args.noTraceIndex = true;
-        else if (a.rfind("--audit=", 0) == 0)
-            args.audit = value("--audit=");
-        else if (a == "--force-scalar")
-            args.forceScalar = true;
-        else if (a.rfind("--prune=", 0) == 0)
-            args.prune = value("--prune=");
-        else if (a.rfind("--placement=", 0) == 0)
-            args.placement = value("--placement=");
-        else if (a == "--det-probe")
-            args.detProbe = true;
-        else if (a == "--help" || a == "-h")
-            usage(argv[0], 0);
-        else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0], 2);
-        }
-    }
-    if (args.prune != "none" && args.prune != "oracle") {
-        std::fprintf(stderr, "%s: bad value for --prune: '%s'\n",
-                     argv[0], args.prune.c_str());
-        std::exit(2);
-    }
-    if (args.placement != "fixed" && args.placement != "risk") {
-        std::fprintf(stderr, "%s: bad value for --placement: '%s'\n",
-                     argv[0], args.placement.c_str());
-        std::exit(2);
-    }
+    args.quick = cl.flag("quick");
+    args.txns = cl.unum("txns", 0);
+    args.jobs = cl.unum("jobs", 1);
+    args.json = cl.str("json");
+    args.traceCache = cl.str("trace-cache");
+    args.noTraceIndex = cl.flag("no-trace-index");
+    args.audit = cl.oneOf("audit", "off", {"off", "commit", "full"});
+    args.forceScalar = cl.flag("force-scalar");
+    args.prune = cl.oneOf("prune", "none", {"none", "oracle"});
+    args.placement = cl.oneOf("placement", "fixed", {"fixed", "risk"});
+    args.detProbe = cl.flag("det-probe");
     return args;
-}
-
-/** Executor sized from --jobs (0 = one worker per hardware thread). */
-inline sim::SimExecutor
-makeExecutor(const BenchArgs &args)
-{
-    return sim::SimExecutor(args.jobs);
 }
 
 /**
@@ -525,7 +474,7 @@ struct BenchSession
     BenchReport report;
 
     BenchSession(const char *bench, int argc, char **argv)
-        : args(parseArgs(argc, argv)), ex(makeExecutor(args)),
+        : args(parseArgs(argc, argv)), ex(args.jobs),
           report(bench, args, ex.jobs())
     {
         setInformEnabled(false);

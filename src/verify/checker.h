@@ -1,6 +1,6 @@
 /**
  * @file
- * Offline trace checker (the analysis half of tlscheck).
+ * Offline trace checker (the analysis half of `tlsim check`).
  *
  * Replays a captured workload trace with a plain happens-before
  * algorithm — no caches, no timing, no oracle, none of the simulator's

@@ -1,44 +1,46 @@
 /**
  * @file
- * tlsim — command-line trace tools for the sub-threads TLS simulator.
- *
- *   tlsim capture  --benchmark=NEW_ORDER --out=no.trace [options]
- *   tlsim info     --trace=no.trace
- *   tlsim replay   --trace=no.trace [machine options]
+ * tlsim — the trace CLI of the sub-threads TLS simulator: capture a
+ * TPC-C benchmark's trace, print its shape, replay it on a configured
+ * machine, or check it offline. kUsage lists every subcommand's flags.
  *
  * The paper's artifacts (Figure 5, Figure 6, Table 2) come from the
  * bench/ mains: bench_figure5_overall, bench_figure6_sweep and
  * bench_table2_stats.
  *
- * Capture options:
- *   --quick            reduced TPC-C scale
- *   --txns=N           transactions to capture (default: the paper
- *                      preset's per-benchmark count)
- *   --original         capture the untuned, unparallelized build
- * Machine options (replay):
- *   --mode=tls|serial|nospec   execution mode (default tls)
- *   --subthreads=K --spacing=N --cpus=N --adaptive
- *   --no-start-table --no-victim --lazy-updates
- *   --audit=off|commit|full    protocol invariant auditor level
- *   --warmup=N         transactions excluded from statistics
- *   --profile          print the dependence profiler afterwards
- *   --stats            dump the machine's statistics afterwards
- *   --det-probe        print canonical capture/replay result digests
+ * `check` is the offline trace checker and simulator cross-validator.
+ * With --trace it replays the file through the independent
+ * happens-before checker (src/verify/checker) and diffs its per-record
+ * conflict / covered-load classification against a TraceIndex built
+ * in-process from the same trace. Any disagreement is a hard error: a
+ * mis-classified line would make the simulator skip violation scans.
+ * With --benchmark it captures (or reloads) the benchmark's traces,
+ * checks both against their shared indexes, then runs the full TLS
+ * simulation and validates the RunResult against the checker's ground
+ * truth: commit order serializable, violation bookkeeping consistent,
+ * and every violated line independently proven a RAW candidate. The
+ * traces are sized by the paper preset the bench/ mains use, so
+ * `--quick --txns=N` shares their trace-cache entries.
  *
- * A flag the subcommand does not read, or a non-numeric value for a
- * numeric flag, is a fatal error.
+ * Exit status: 0 success, 1 an unreadable trace or a failed check,
+ * 2 usage error (tools/cliargs.h).
  */
 
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "base/addr.h"
 #include "base/log.h"
 #include "core/machine.h"
 #include "core/resulthash.h"
+#include "core/traceindex.h"
+#include "sim/tracecache.h"
 #include "sim/traceio.h"
 #include "tpcc/tpcc.h"
 #include "verify/auditor.h"
+#include "verify/checker.h"
 
 #include "cliargs.h"
 
@@ -46,37 +48,61 @@ using namespace tlsim;
 
 namespace {
 
+const char kUsage[] =
+    "usage: tlsim capture --benchmark=NAME [--quick] [--txns=N] "
+    "[--original] [--out=FILE]\n"
+    "       tlsim info    [--trace=FILE]\n"
+    "       tlsim replay  [--trace=FILE] [machine options] [--warmup=N]\n"
+    "                     [--det-probe] [--profile] [--stats]\n"
+    "       tlsim check   --trace=FILE [--line-bytes=N]\n"
+    "       tlsim check   --benchmark=NAME [--quick] [--txns=N] "
+    "[--warmup=N]\n"
+    "                     [--trace-cache=DIR] [--audit=LEVEL]\n"
+    "  --quick        reduced TPC-C scale\n"
+    "  --txns=N       transactions to capture (default: the paper "
+    "preset's)\n"
+    "  --original     capture the untuned, unparallelized build\n"
+    "  --warmup=N     transactions excluded from statistics\n"
+    "  --det-probe    print canonical capture/replay result digests\n"
+    "  --profile      print the dependence profiler afterwards\n"
+    "  --stats        dump the machine's statistics afterwards\n"
+    "machine options:\n"
+    "  --mode=tls|serial|nospec   execution mode (default tls)\n"
+    "  --subthreads=K --spacing=N --cpus=N --adaptive\n"
+    "  --no-start-table --no-victim --lazy-updates\n"
+    "  --audit=off|commit|full    protocol invariant auditor level\n"
+    "(Figure 5, Figure 6 and Table 2: run the bench/ mains)\n";
+
 MachineConfig
 machineConfig(const CliArgs &a)
 {
     MachineConfig mc;
-    mc.tls.subthreadsPerThread = static_cast<unsigned>(
-        a.num("subthreads", mc.tls.subthreadsPerThread));
+    mc.tls.subthreadsPerThread =
+        a.unum("subthreads", mc.tls.subthreadsPerThread);
     mc.tls.subthreadSpacing =
         a.num("spacing", mc.tls.subthreadSpacing);
-    mc.tls.numCpus =
-        static_cast<unsigned>(a.num("cpus", mc.tls.numCpus));
-    mc.tls.adaptiveSpacing = a.has("adaptive");
-    if (a.has("no-start-table"))
+    mc.tls.numCpus = a.unum("cpus", mc.tls.numCpus);
+    mc.tls.adaptiveSpacing = a.flag("adaptive");
+    if (a.flag("no-start-table"))
         mc.tls.useStartTable = false;
-    if (a.has("no-victim"))
+    if (a.flag("no-victim"))
         mc.tls.useVictimCache = false;
-    if (a.has("lazy-updates"))
+    if (a.flag("lazy-updates"))
         mc.tls.aggressiveUpdates = false;
-    mc.tls.auditLevel = parseAuditLevel(a.str("audit", "off"));
+    mc.tls.auditLevel = a.audit();
     return mc;
 }
 
 ExecMode
-modeByName(const std::string &m)
+execMode(const CliArgs &a)
 {
-    if (m == "tls")
-        return ExecMode::Tls;
+    const std::string m = a.oneOf("mode", "tls", {"tls", "serial",
+                                                  "nospec"});
     if (m == "serial")
         return ExecMode::Serial;
     if (m == "nospec")
         return ExecMode::NoSpeculation;
-    fatal("unknown mode '%s' (tls|serial|nospec)", m.c_str());
+    return ExecMode::Tls;
 }
 
 void
@@ -137,11 +163,8 @@ cmdCapture(const CliArgs &a)
     tpcc::TxnType type = a.benchmark();
     sim::ExperimentConfig cfg = a.paperConfig(type);
 
-    tpcc::CaptureOptions opts;
-    opts.scale = cfg.scale;
-    opts.txns = cfg.txns;
-    opts.tlsBuild = !a.has("original");
-    opts.parallelMode = !a.has("original");
+    const bool tls = !a.flag("original");
+    tpcc::CaptureOptions opts = sim::captureOptions(cfg, tls, tls);
     std::fprintf(stderr, "capturing %u %s transactions...\n",
                  opts.txns, tpcc::txnTypeName(type));
     WorkloadTrace w = tpcc::captureBenchmark(type, opts);
@@ -186,10 +209,10 @@ cmdInfo(const CliArgs &a)
 int
 cmdReplay(const CliArgs &a)
 {
-    WorkloadTrace w = loadTrace(a);
     MachineConfig mc = machineConfig(a);
-    ExecMode mode = modeByName(a.str("mode", "tls"));
-    unsigned warmup = static_cast<unsigned>(a.num("warmup", 0));
+    ExecMode mode = execMode(a);
+    unsigned warmup = a.unum("warmup", 0);
+    WorkloadTrace w = loadTrace(a);
 
     TlsMachine m(mc);
     RunResult r = verify::runWithAudit(m, w, mode, warmup);
@@ -197,7 +220,7 @@ cmdReplay(const CliArgs &a)
         std::printf("audit              %llu invariant checks, 0 "
                     "violations\n",
                     static_cast<unsigned long long>(r.auditChecks));
-    if (a.has("det-probe")) {
+    if (a.flag("det-probe")) {
         // Canonical per-stage digests (base/dethash.h): the capture
         // digest covers the loaded trace bytes, the replay digest the
         // full RunResult. Two replays of the same trace file must
@@ -209,11 +232,120 @@ cmdReplay(const CliArgs &a)
                         det::hashRunResult(r)));
     }
     printRun(r);
-    if (a.has("profile"))
+    if (a.flag("profile"))
         std::printf("\n%s", m.profiler().reportText(12).c_str());
-    if (a.has("stats"))
+    if (a.flag("stats"))
         m.dumpStats(std::cout);
     return 0;
+}
+
+int
+report(const char *what, const std::vector<std::string> &errors)
+{
+    if (errors.empty()) {
+        std::printf("tlsim check: %s OK\n", what);
+        return 0;
+    }
+    std::printf("tlsim check: %s FAILED (%zu mismatches)\n", what,
+                errors.size());
+    for (const std::string &e : errors)
+        std::printf("  %s\n", e.c_str());
+    return 1;
+}
+
+void
+printSummary(const char *name, const verify::CheckResult &chk)
+{
+    std::printf("%s: %llu parallel epochs, %llu exposed loads, "
+                "lines %llu private / %llu read-shared / %llu "
+                "conflict (%zu RAW candidates)\n",
+                name,
+                static_cast<unsigned long long>(chk.parallelEpochs),
+                static_cast<unsigned long long>(chk.exposedLoads),
+                static_cast<unsigned long long>(chk.epochPrivate),
+                static_cast<unsigned long long>(chk.readShared),
+                static_cast<unsigned long long>(chk.conflict),
+                chk.rawLines.size());
+}
+
+int
+checkTraceFile(const CliArgs &a)
+{
+    const unsigned line_bytes =
+        a.unum("line-bytes", MemConfig{}.lineBytes);
+    if (!isPowerOf2(line_bytes))
+        a.usageError("--line-bytes must be a power of two");
+    WorkloadTrace w = loadTrace(a);
+
+    verify::CheckResult chk = verify::checkTrace(w, line_bytes);
+    printSummary(a.str("trace").c_str(), chk);
+
+    TraceIndex idx(w, line_bytes);
+    return report("index diff", verify::diffAgainstIndex(chk, idx, w));
+}
+
+int
+checkBenchmark(const CliArgs &a)
+{
+    tpcc::TxnType type = a.benchmark();
+
+    sim::ExperimentConfig cfg = a.paperConfig(type);
+    cfg.warmupTxns = a.unum("warmup", cfg.warmupTxns);
+    cfg.machine.tls.auditLevel = a.audit();
+
+    std::fprintf(stderr, "tlsim check: capturing %s...\n",
+                 tpcc::txnTypeName(type));
+    sim::SharedTraces traces =
+        sim::captureTracesShared(type, cfg, a.str("trace-cache"));
+    unsigned line_bytes = cfg.machine.mem.lineBytes;
+
+    int rc = 0;
+
+    // Independent classification of both captures, diffed against the
+    // indexes the simulator will trust.
+    verify::CheckResult chk_orig =
+        verify::checkTrace(traces->original, line_bytes);
+    printSummary("original trace", chk_orig);
+    rc |= report("original index diff",
+                 verify::diffAgainstIndex(chk_orig,
+                                          *traces->originalIndex,
+                                          traces->original));
+
+    verify::CheckResult chk_tls =
+        verify::checkTrace(traces->tls, line_bytes);
+    printSummary("tls trace", chk_tls);
+    rc |= report("tls index diff",
+                 verify::diffAgainstIndex(chk_tls, *traces->tlsIndex,
+                                          traces->tls));
+
+    // Full TLS simulation (auditor attached when --audit is not off),
+    // validated against the checker's ground truth.
+    TlsMachine m(cfg.machine);
+    RunResult r =
+        verify::runWithAudit(m, traces->tls, ExecMode::Tls,
+                             cfg.warmupTxns, traces->tlsIndex.get());
+    std::printf("simulation: %llu epochs, %llu primary violations, "
+                "%llu audit checks\n",
+                static_cast<unsigned long long>(r.epochs),
+                static_cast<unsigned long long>(r.primaryViolations),
+                static_cast<unsigned long long>(r.auditChecks));
+    rc |= report("run diff", verify::diffAgainstRun(chk_tls, r));
+    return rc;
+}
+
+int
+cmdCheck(const CliArgs &a)
+{
+    if (a.has("trace")) {
+        a.allowOnly({"trace", "line-bytes"});
+        return checkTraceFile(a);
+    }
+    if (a.has("benchmark")) {
+        a.allowOnly({"benchmark", "quick", "txns", "warmup",
+                     "trace-cache", "audit"});
+        return checkBenchmark(a);
+    }
+    a.usageError("expects --trace=FILE or --benchmark=NAME");
 }
 
 } // namespace
@@ -222,29 +354,30 @@ int
 main(int argc, char **argv)
 {
     setInformEnabled(false);
-    CliArgs a;
-    a.parse(argc, argv, 2);
     const std::string cmd = argc >= 2 ? argv[1] : "";
-    const char *name = cmd.c_str();
+    if (cmd == "help") {
+        std::fputs(kUsage, stderr);
+        return 0;
+    }
+    CliArgs a(cmd.empty() ? "tlsim" : "tlsim " + cmd, kUsage);
+    a.parse(argc, argv, 2);
     if (cmd == "capture") {
-        a.allowOnly(name, {"benchmark", "quick", "txns", "out",
-                           "original"});
+        a.allowOnly({"benchmark", "quick", "txns", "out", "original"});
         return cmdCapture(a);
     }
     if (cmd == "info") {
-        a.allowOnly(name, {"trace"});
+        a.allowOnly({"trace"});
         return cmdInfo(a);
     }
     if (cmd == "replay") {
-        a.allowOnly(name, {"subthreads", "spacing", "cpus", "adaptive",
-                           "no-start-table", "no-victim", "lazy-updates",
-                           "audit", "trace", "mode", "warmup",
-                           "det-probe", "profile", "stats"});
+        a.allowOnly({"subthreads", "spacing", "cpus", "adaptive",
+                     "no-start-table", "no-victim", "lazy-updates",
+                     "audit", "trace", "mode", "warmup", "det-probe",
+                     "profile", "stats"});
         return cmdReplay(a);
     }
-    std::fprintf(stderr,
-                 "usage: tlsim <capture|info|replay> [--key=value ...]\n"
-                 "(Figure 5, Figure 6 and Table 2: run the bench/ "
-                 "mains)\n");
-    return cmd == "help" ? 0 : 1;
+    if (cmd == "check")
+        return cmdCheck(a);
+    a.usageError(cmd.empty() ? "missing subcommand"
+                             : "unknown subcommand '" + cmd + "'");
 }

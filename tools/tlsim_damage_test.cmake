@@ -1,7 +1,7 @@
 # ctest script: a damaged trace file is rejected by name. Capture a
 # small trace with tlsim, flip one bit in the middle of the file, and
-# expect `tlsim info` to exit non-zero with a stderr line that names
-# the file and the digest mismatch.
+# expect `tlsim info` and `tlsim check` each to exit non-zero with a
+# stderr line that names the file and the digest mismatch.
 #
 # Inputs: -DTLSIM=<exe> -DPYTHON=<exe> -DTRACE=<path>
 
@@ -23,17 +23,21 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "could not flip a bit of ${TRACE}")
 endif()
 
-execute_process(
-    COMMAND ${TLSIM} info --trace=${TRACE}
-    OUTPUT_QUIET
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc)
+foreach(cmd info check)
+    execute_process(
+        COMMAND ${TLSIM} ${cmd} --trace=${TRACE}
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(rc EQUAL 0)
+        file(REMOVE ${TRACE})
+        message(FATAL_ERROR "tlsim ${cmd} accepted a damaged trace")
+    endif()
+    string(FIND "${err}" "${TRACE}: digest mismatch" at)
+    if(at EQUAL -1)
+        file(REMOVE ${TRACE})
+        message(FATAL_ERROR "tlsim ${cmd} failed without naming the "
+                "file and the digest mismatch; stderr:\n${err}")
+    endif()
+endforeach()
 file(REMOVE ${TRACE})
-if(rc EQUAL 0)
-    message(FATAL_ERROR "tlsim info accepted a damaged trace")
-endif()
-string(FIND "${err}" "${TRACE}: digest mismatch" at)
-if(at EQUAL -1)
-    message(FATAL_ERROR "tlsim info failed without naming the file "
-            "and the digest mismatch; stderr:\n${err}")
-endif()

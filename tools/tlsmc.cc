@@ -20,13 +20,15 @@
  *             and require the same set of terminal outcomes
  *             (empirical soundness check of the reduction).
  *
+ * Flags parse through tools/cliargs.h. A model bound (--epochs, --k,
+ * --lines, --len) of zero or above the model's inline cap is a usage
+ * error: a zero bound would explore nothing and pass.
+ *
  * Exit status: 0 success, 1 violation found (or, for --mutate, the
  * seeded bug escaped), 2 usage error.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,149 +37,78 @@
 #include "verify/modelcheck/model.h"
 #include "verify/modelcheck/programs.h"
 
+#include "cliargs.h"
+
 using namespace tlsim;
 using namespace tlsim::verify::mc;
 
 namespace {
 
-struct Args
-{
-    bool sweep = true;
-    bool bisim = false;
-    bool dpor = true;
-    bool crossCheck = false;
-    bool quiet = false;
-    unsigned epochs = 3;
-    unsigned k = 2;
-    unsigned lines = 2;
-    unsigned len = 2;
-    std::uint64_t spacing = 1;
-    std::uint64_t tick = 100;
-    unsigned samples = 200;
-    std::uint64_t seed = 0x5eed;
-    std::uint64_t maxSteps = 0;
-    bool wholeThread = false; ///< Figure 4(a): no start table
-    bool progress = false;    ///< periodic progress lines to stderr
-    unsigned shardIndex = 0;  ///< --shard=I/N: explore tuples I mod N
-    unsigned shardCount = 1;
-    Mutation mutation = Mutation::None;
-    std::string jsonPath;
-};
-
-[[noreturn]] void
+std::string
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--sweep|--bisim] [options]\n"
-        "  --epochs=N --k=K --lines=M --len=L   model bounds\n"
-        "  --spacing=S --tick=T                 spawn spacing / tick cost\n"
-        "  --whole-thread                       Figure 4(a): no start table\n"
-        "  --no-dpor                            naive full enumeration\n"
-        "  --cross-check                        DPOR vs naive outcome sets\n"
-        "  --mutate=<name>                      seeded-bug mode\n"
-        "  --samples=N --seed=S                 bisim sampling\n"
-        "  --max-steps=N                        path depth bound\n"
-        "  --shard=I/N                          explore tuples I mod N\n"
-        "  --progress                           progress lines to stderr\n"
-        "  --json=PATH                          write a JSON summary\n"
-        "  --quiet\n",
-        argv0);
-    std::exit(2);
+    return std::string("usage: ") + argv0 +
+           " [--sweep|--bisim] [options]\n"
+           "  --epochs=N --k=K --lines=M --len=L   model bounds\n"
+           "  --spacing=S --tick=T                 spawn spacing / tick cost\n"
+           "  --whole-thread                       Figure 4(a): no start table\n"
+           "  --no-dpor                            naive full enumeration\n"
+           "  --cross-check                        DPOR vs naive outcome sets\n"
+           "  --mutate=<name>                      seeded-bug mode\n"
+           "  --samples=N --seed=S                 bisim sampling\n"
+           "  --max-steps=N                        path depth bound\n"
+           "  --shard=I/N                          explore tuples I mod N\n"
+           "  --progress                           progress lines to stderr\n"
+           "  --json=PATH                          write a JSON summary\n"
+           "  --quiet\n";
 }
 
-bool
-flagValue(const char *arg, const char *name, const char **out)
+/** Model bound `k`: 1..max (a zero bound explores nothing). */
+unsigned
+bound(const CliArgs &a, const char *k, unsigned dflt, unsigned max)
 {
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        *out = arg + n + 1;
-        return true;
+    const auto v = static_cast<unsigned>(a.num(k, dflt, max));
+    if (v == 0)
+        a.usageError(std::string("--") + k + " must be at least 1");
+    return v;
+}
+
+Mutation
+mutation(const CliArgs &a)
+{
+    if (!a.has("mutate"))
+        return Mutation::None;
+    const std::string name = a.str("mutate");
+    for (Mutation m : {Mutation::WrongStartTable,
+                       Mutation::MissedSecondary,
+                       Mutation::PrematureRecycle})
+        if (name == mutationName(m))
+            return m;
+    a.usageError("bad value for --mutate: '" + name +
+                 "' (wrong-start-table|missed-secondary|"
+                 "premature-recycle)");
+}
+
+/** --shard=I/N: explore tuples I mod N. */
+struct Shard
+{
+    unsigned index = 0;
+    unsigned count = 1;
+};
+
+Shard
+shard(const CliArgs &a)
+{
+    const std::string v = a.str("shard", "0/1");
+    const auto slash = v.find('/');
+    if (slash != std::string::npos) {
+        auto i = CliArgs::toNum(std::string_view(v).substr(0, slash));
+        auto n = CliArgs::toNum(std::string_view(v).substr(slash + 1));
+        if (i && n && *i < *n && *n <= ~0u)
+            return {static_cast<unsigned>(*i),
+                    static_cast<unsigned>(*n)};
     }
-    return false;
-}
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *v = nullptr;
-        if (std::strcmp(arg, "--sweep") == 0) {
-            a.sweep = true;
-            a.bisim = false;
-        } else if (std::strcmp(arg, "--bisim") == 0) {
-            a.bisim = true;
-            a.sweep = false;
-        } else if (std::strcmp(arg, "--no-dpor") == 0) {
-            a.dpor = false;
-        } else if (std::strcmp(arg, "--cross-check") == 0) {
-            a.crossCheck = true;
-        } else if (std::strcmp(arg, "--whole-thread") == 0) {
-            a.wholeThread = true;
-        } else if (std::strcmp(arg, "--quiet") == 0) {
-            a.quiet = true;
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            a.progress = true;
-        } else if (flagValue(arg, "--shard", &v)) {
-            char *end = nullptr;
-            a.shardIndex =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (!end || *end != '/')
-                usage(argv[0]);
-            a.shardCount =
-                static_cast<unsigned>(std::strtoul(end + 1, nullptr, 10));
-            if (a.shardCount == 0 || a.shardIndex >= a.shardCount)
-                usage(argv[0]);
-        } else if (flagValue(arg, "--epochs", &v)) {
-            a.epochs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--k", &v)) {
-            a.k = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--lines", &v)) {
-            a.lines = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--len", &v)) {
-            a.len = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--spacing", &v)) {
-            a.spacing = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--tick", &v)) {
-            a.tick = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--samples", &v)) {
-            a.samples = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--seed", &v)) {
-            a.seed = std::strtoull(v, nullptr, 0);
-        } else if (flagValue(arg, "--max-steps", &v)) {
-            a.maxSteps = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--json", &v)) {
-            a.jsonPath = v;
-        } else if (flagValue(arg, "--mutate", &v)) {
-            if (std::strcmp(v, "wrong-start-table") == 0)
-                a.mutation = Mutation::WrongStartTable;
-            else if (std::strcmp(v, "missed-secondary") == 0)
-                a.mutation = Mutation::MissedSecondary;
-            else if (std::strcmp(v, "premature-recycle") == 0)
-                a.mutation = Mutation::PrematureRecycle;
-            else
-                usage(argv[0]);
-        } else {
-            usage(argv[0]);
-        }
-    }
-    return a;
-}
-
-ModelConfig
-modelConfig(const Args &a)
-{
-    ModelConfig cfg;
-    cfg.epochs = a.epochs;
-    cfg.k = a.k;
-    cfg.lines = a.lines;
-    cfg.spacing = a.spacing;
-    cfg.tickInsts = a.tick;
-    cfg.useStartTable = !a.wholeThread;
-    cfg.mutation = a.mutation;
-    return cfg;
+    a.usageError("bad value for --shard: '" + v + "' (I/N, I < N)");
 }
 
 struct SweepTotals
@@ -192,24 +123,26 @@ struct SweepTotals
     std::vector<Program> violationPrograms;
 };
 
+/**
+ * Explore every interacting program tuple of `len` ops per epoch in
+ * `sh` (DPOR unless xcfg.dpor is off); xcfg.collectOutcomes re-explores
+ * each naively and compares the terminal outcomes.
+ */
 int
-runSweep(const Args &a, SweepTotals &tot)
+runSweep(const ModelConfig &cfg, unsigned len, const ExploreConfig &xcfg,
+         Shard sh, bool progress, SweepTotals &tot)
 {
-    ModelConfig cfg = modelConfig(a);
     auto families =
-        programFamilies(a.epochs, a.len, a.lines, /*interacting=*/true);
-
-    ExploreConfig xcfg;
-    xcfg.dpor = a.dpor;
-    xcfg.maxSteps = a.maxSteps;
-    xcfg.collectOutcomes = a.crossCheck;
+        programFamilies(cfg.epochs, len, cfg.lines, /*interacting=*/true);
+    // A violation fails a plain sweep and passes a seeded-bug one.
+    const int violation_rc = cfg.mutation == Mutation::None ? 1 : 0;
 
     for (std::size_t fi = 0; fi < families.size(); ++fi) {
-        if (fi % a.shardCount != a.shardIndex)
+        if (fi % sh.count != sh.index)
             continue;
         const auto &programs = families[fi];
         ++tot.tuples;
-        if (a.progress)
+        if (progress)
             std::fprintf(stderr,
                          "tlsmc sweep: tuple %zu (%llu done), %llu "
                          "transitions, %llu schedules\n",
@@ -225,9 +158,9 @@ runSweep(const Args &a, SweepTotals &tot)
             tot.caught = true;
             tot.violation = res.violations.front();
             tot.violationPrograms = programs;
-            return a.mutation == Mutation::None ? 1 : 0;
+            return violation_rc;
         }
-        if (a.crossCheck && a.dpor) {
+        if (xcfg.collectOutcomes && xcfg.dpor) {
             ExploreConfig ncfg = xcfg;
             ncfg.dpor = false;
             ExploreResult naive = explore(cfg, programs, ncfg);
@@ -236,7 +169,7 @@ runSweep(const Args &a, SweepTotals &tot)
                 tot.caught = true;
                 tot.violation = naive.violations.front();
                 tot.violationPrograms = programs;
-                return a.mutation == Mutation::None ? 1 : 0;
+                return violation_rc;
             }
             if (naive.outcomes != res.outcomes) {
                 tot.caught = true;
@@ -250,7 +183,7 @@ runSweep(const Args &a, SweepTotals &tot)
         }
     }
     // A seeded mutation that no sweep caught is itself a failure.
-    return a.mutation == Mutation::None ? 0 : 1;
+    return 1 - violation_rc;
 }
 
 const char *
@@ -281,13 +214,13 @@ printPrograms(const std::vector<Program> &programs)
 }
 
 void
-writeJson(const Args &a, const SweepTotals &tot, const BisimSweep &bs,
-          int status)
+writeJson(const std::string &path, bool bisim, const ModelConfig &cfg,
+          unsigned len, bool dpor, const SweepTotals &tot,
+          const BisimSweep &bs, int status)
 {
-    std::FILE *f = std::fopen(a.jsonPath.c_str(), "w");
+    std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
-        std::fprintf(stderr, "tlsmc: cannot write %s\n",
-                     a.jsonPath.c_str());
+        std::fprintf(stderr, "tlsmc: cannot write %s\n", path.c_str());
         return;
     }
     std::fprintf(f,
@@ -307,9 +240,8 @@ writeJson(const Args &a, const SweepTotals &tot, const BisimSweep &bs,
                  "  \"violations\": %d,\n"
                  "  \"status\": %d\n"
                  "}\n",
-                 a.bisim ? "bisim" : "sweep",
-                 a.epochs, a.k, a.lines, a.len,
-                 a.dpor ? "true" : "false", mutationName(a.mutation),
+                 bisim ? "bisim" : "sweep", cfg.epochs, cfg.k, cfg.lines,
+                 len, dpor ? "true" : "false", mutationName(cfg.mutation),
                  static_cast<unsigned long long>(tot.tuples),
                  static_cast<unsigned long long>(tot.transitions),
                  static_cast<unsigned long long>(tot.schedules),
@@ -323,20 +255,48 @@ writeJson(const Args &a, const SweepTotals &tot, const BisimSweep &bs,
 int
 main(int argc, char **argv)
 {
-    Args a = parse(argc, argv);
+    CliArgs a("tlsmc", usage(argv[0]));
+    a.parse(argc, argv, 1);
+    a.allowOnly({"sweep", "bisim", "no-dpor", "cross-check",
+                 "whole-thread", "quiet", "progress", "shard", "epochs",
+                 "k", "lines", "len", "spacing", "tick", "samples", "seed",
+                 "max-steps", "json", "mutate"});
+    const bool bisim = a.flag("bisim");
+    if (bisim && a.flag("sweep"))
+        a.usageError("--sweep and --bisim are exclusive");
+
+    ModelConfig cfg;
+    cfg.epochs = bound(a, "epochs", 3, kMaxEpochs);
+    cfg.k = bound(a, "k", 2, kMaxK);
+    cfg.lines = bound(a, "lines", 2, kMaxLines);
+    cfg.spacing = a.num("spacing", 1);
+    cfg.tickInsts = a.num("tick", 100);
+    cfg.useStartTable = !a.flag("whole-thread"); // Figure 4(a)
+    cfg.mutation = mutation(a);
+    const unsigned len = bound(a, "len", 2, kMaxLen);
+    if (bisim && cfg.mutation != Mutation::None)
+        a.usageError("--mutate is a model-only mode");
+
+    ExploreConfig xcfg;
+    xcfg.dpor = !a.flag("no-dpor");
+    xcfg.maxSteps = a.num("max-steps", 0);
+    xcfg.collectOutcomes = a.flag("cross-check");
+    const Shard sh = shard(a);
+    const bool progress = a.flag("progress");
+    const bool quiet = a.flag("quiet");
+    const unsigned samples = a.unum("samples", 200);
+    const std::uint64_t seed =
+        a.num("seed", 0x5eed, ~std::uint64_t{0}, /*base=*/0);
+    const std::string json = a.str("json");
+
     SweepTotals tot;
     BisimSweep bs;
     int status = 0;
 
-    if (a.bisim) {
-        if (a.mutation != Mutation::None) {
-            std::fprintf(stderr,
-                         "tlsmc: --mutate is a model-only mode\n");
-            return 2;
-        }
-        bs = sampleBisim(modelConfig(a), a.samples, a.seed, a.len);
+    if (bisim) {
+        bs = sampleBisim(cfg, samples, seed, len);
         status = bs.ok() ? 0 : 1;
-        if (!a.quiet) {
+        if (!quiet) {
             std::fprintf(stderr,
                          "tlsmc bisim: %u samples, %llu model steps, "
                          "%llu machine audit checks, %u divergences\n",
@@ -349,8 +309,8 @@ main(int argc, char **argv)
                              bs.firstFailure.c_str());
         }
     } else {
-        status = runSweep(a, tot);
-        if (!a.quiet) {
+        status = runSweep(cfg, len, xcfg, sh, progress, tot);
+        if (!quiet) {
             std::fprintf(
                 stderr,
                 "tlsmc sweep: %llu tuples, %llu transitions, "
@@ -358,21 +318,21 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(tot.tuples),
                 static_cast<unsigned long long>(tot.transitions),
                 static_cast<unsigned long long>(tot.schedules),
-                a.dpor ? " (dpor)" : " (naive)");
+                xcfg.dpor ? " (dpor)" : " (naive)");
             if (tot.caught) {
                 std::fprintf(stderr, "tlsmc sweep: violation: %s\n",
                              tot.violation.toString().c_str());
                 printPrograms(tot.violationPrograms);
-            } else if (a.mutation != Mutation::None) {
+            } else if (cfg.mutation != Mutation::None) {
                 std::fprintf(stderr,
                              "tlsmc sweep: seeded mutation '%s' was "
                              "NOT caught\n",
-                             mutationName(a.mutation));
+                             mutationName(cfg.mutation));
             }
         }
     }
 
-    if (!a.jsonPath.empty())
-        writeJson(a, tot, bs, status);
+    if (!json.empty())
+        writeJson(json, bisim, cfg, len, xcfg.dpor, tot, bs, status);
     return status;
 }
